@@ -1,10 +1,10 @@
 """Approximating the embedding with sparse matvecs only.
 
 Repeatedly applying I + D^{-1/2} A D^{-1/2} to a random Gaussian block and
-taking a thin SVD converges to the span of the k lowest Laplacian
-eigenvectors at rate (2 - lambda_{k+1}) / (2 - lambda_k) per step. The step
-formula picks p so the projector error is below a requested eps with high
-probability; the demo traces the actual error as p grows.
+re-orthonormalizing it (a QR per step) converges to the span of the k lowest
+Laplacian eigenvectors at rate (2 - lambda_{k+1}) / (2 - lambda_k) per step.
+The step formula picks p so the projector error is below a requested eps with
+high probability; the demo traces the actual error as p grows.
 """
 
 import numpy as np

@@ -7,6 +7,23 @@ separation-aware k-means, and can measure every structural inequality the
 guarantees rest on via the diagnostics module.
 """
 
+import os as _os
+
+
+def _apply_thread_cap():
+    """Copy SPECTRAL_PART_THREADS into the BLAS thread variables not yet set.
+
+    BLAS reads them once, when numpy loads, so this runs before any import
+    below pulls numpy in.
+    """
+    cap = _os.environ.get("SPECTRAL_PART_THREADS")
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            _os.environ.setdefault(var, cap)
+
+
+_apply_thread_cap()
+
 from .errors import (CapacityError, DegenerateError, GapError, InputError,
                      NumericError, SpanCollapseError, SpectralPartError)
 from .graph import (Graph, Partition, block_conductances, conductance, cut,
@@ -19,10 +36,10 @@ from .kmeans import (Clustering, SeparationEstimate, WeightedPoints,
                      orss_kmeans, separation_ratio)
 from .linalg import (EigenSystem, gaussian_matrix, rng_stream, sym_eig,
                      thin_svd)
-from .spectral import (DENSE_THRESHOLD, Embedding, LaplacianOps, PowerParams,
-                       build_ops, exact_embedding, normalized_weighted_pointset,
-                       power_embedding, projection_distance, read_embedding,
-                       required_power_steps, write_embedding)
+from .spectral import (Embedding, LaplacianOps, PowerParams, exact_embedding,
+                       normalized_weighted_pointset, power_embedding,
+                       projection_distance, read_embedding,
+                       required_power_steps, spectrum, write_embedding)
 from .diagnostics import (CheckRecord, CoeffMatrices, GapReport,
                           InterConnection, PartitionConstants,
                           bruteforce_partition_constants,
@@ -43,10 +60,9 @@ __all__ = [
     "cost", "lloyd_step", "optimal_cost_bruteforce", "orss_kmeans",
     "separation_ratio",
     "EigenSystem", "gaussian_matrix", "rng_stream", "sym_eig", "thin_svd",
-    "DENSE_THRESHOLD", "Embedding", "LaplacianOps", "PowerParams", "build_ops",
-    "exact_embedding", "normalized_weighted_pointset", "power_embedding",
-    "projection_distance", "read_embedding", "required_power_steps",
-    "write_embedding",
+    "Embedding", "LaplacianOps", "PowerParams", "exact_embedding",
+    "normalized_weighted_pointset", "power_embedding", "projection_distance",
+    "read_embedding", "required_power_steps", "spectrum", "write_embedding",
     "CheckRecord", "CoeffMatrices", "GapReport", "InterConnection",
     "PartitionConstants", "bruteforce_partition_constants",
     "characteristic_vectors", "coeff_matrices", "estimation_centers",

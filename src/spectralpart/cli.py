@@ -1,14 +1,13 @@
 """Command-line interface: cluster, diagnose, generate, verify.
 
-Reports are JSON with a fixed field order and schema tag "spectral-part/1";
+Reports are JSON with a fixed field order and schema tag "spectral-part/2";
 rerunning a subcommand with the same inputs and seed reproduces the report
 byte for byte except for the "timings" section. Exit codes: 0 success or all
 applicable checks passed, 1 an applicable check failed, 2 input error,
 3 numeric or capacity error.
 
 The environment variable SPECTRAL_PART_THREADS caps internal (BLAS) thread
-parallelism; it must take effect before numpy loads, so the heavy modules are
-imported inside main().
+parallelism; the package applies it when it is imported, before numpy loads.
 """
 
 from __future__ import annotations
@@ -16,22 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
-SCHEMA = "spectral-part/1"
+SCHEMA = "spectral-part/2"
 
 _EXIT_CHECK_FAILED = 1
 _EXIT_INPUT = 2
 _EXIT_NUMERIC = 3
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("SPECTRAL_PART_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _jsonable(value):
@@ -117,7 +108,7 @@ def _load_graph(args):
 
 def _config_echo(args, command):
     keys = ("input", "gen", "k", "mode", "eps", "delta", "seed", "restarts",
-            "out", "dense_threshold", "lambda_k1_lower", "partition")
+            "out", "partition")
     cfg = {"command": command}
     for key in keys:
         if hasattr(args, key):
@@ -173,6 +164,7 @@ def _failed_applicable(records) -> bool:
 def cmd_cluster(args) -> int:
     from . import graph as G
     from . import spectral as S
+    from .diagnostics import gap_report
     from .errors import InputError
     from .kmeans import best_of_orss
 
@@ -185,26 +177,20 @@ def cmd_cluster(args) -> int:
               "config": _config_echo(args, "cluster"), "graph": _graph_stats(g)}
 
     t0 = time.perf_counter()
-    eig = None
     if args.mode == "exact":
-        emb, eig = S.exact_embedding(g, args.k, args.dense_threshold)
+        emb, eig = S.exact_embedding(g, args.k)
         power_info = None
     else:
-        if g.n <= args.dense_threshold:
-            _, eig = S.exact_embedding(g, args.k, args.dense_threshold)
-            lam_k = float(eig.values[args.k - 1])
-            lam_k1 = float(eig.values[args.k])
-            lam_source = "exact-eigensolve"
-        elif args.lambda_k1_lower is not None:
-            lam_k, lam_k1 = 0.0, args.lambda_k1_lower
-            lam_source = "user-lower-bound"
-        else:
-            raise InputError("n > dense threshold: supply --lambda-k1-lower for power mode")
+        eig = S.spectrum(g, args.k)
+        if eig.n <= args.k:
+            raise InputError("power mode needs k < n (got k=%d, n=%d)" % (args.k, g.n))
+        lam_k = float(eig.values[args.k - 1])
+        lam_k1 = float(eig.values[args.k])
         steps = S.required_power_steps(g.n, args.k, args.eps, args.delta, lam_k, lam_k1)
         emb = S.power_embedding(g, args.k, S.PowerParams(steps=steps, seed=args.seed,
                                                          eps=args.eps, delta=args.delta))
         power_info = {"steps": steps, "seed": args.seed, "eps": args.eps,
-                      "delta": args.delta, "lambda_source": lam_source}
+                      "delta": args.delta, "lambda_source": "sparse-eigensolve"}
     timings["embedding"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -213,14 +199,11 @@ def cmd_cluster(args) -> int:
     result = G.Partition(args.k, clustering.labels)
     timings["kmeans"] = time.perf_counter() - t0
 
-    if eig is not None:
-        report["eigenvalues"] = [float(v) for v in eig.values[:args.k + 1]]
+    report["eigenvalues"] = [float(v) for v in eig.values]
     report["power"] = power_info
-    if eig is not None:
-        from .diagnostics import gap_report
-        reference = planted if planted is not None else result
-        report["gap"] = _gap_section(gap_report(g, args.k, reference, eig))
-        report["gap"]["reference"] = "planted" if planted is not None else "recovered"
+    reference = planted if planted is not None else result
+    report["gap"] = _gap_section(gap_report(g, args.k, reference, eig))
+    report["gap"]["reference"] = "planted" if planted is not None else "recovered"
 
     section = _clustering_section(g, result)
     section["cost"] = clustering.cost
@@ -257,16 +240,15 @@ def cmd_diagnose(args) -> int:
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    records = run_theorem_checks(g, args.k, planted, seed=args.seed,
-                                 dense_threshold=args.dense_threshold)
-    _, eig = exact_embedding(g, args.k, args.dense_threshold)
+    emb, eig = exact_embedding(g, args.k)
+    records = run_theorem_checks(g, args.k, planted, seed=args.seed, exact=(emb, eig))
     gap = gap_report(g, args.k, planted, eig)
     timings["checks"] = time.perf_counter() - t0
 
     report = {
         "schema": SCHEMA, "command": "diagnose",
         "config": _config_echo(args, "diagnose"), "graph": _graph_stats(g),
-        "eigenvalues": [float(v) for v in eig.values[:args.k + 1]],
+        "eigenvalues": [float(v) for v in eig.values],
         "gap": _gap_section(gap),
         "checks": _check_section(records),
         "timings": timings,
@@ -318,7 +300,7 @@ def cmd_verify(args) -> int:
                            consts.rho, consts.rho_hat, True))
     records.append(_record("partition_constant_upper",
                            consts.rho_hat, k * consts.rho, True))
-    _, eig = exact_embedding(g, k, args.dense_threshold)
+    emb, eig = exact_embedding(g, k)
     records.append(_record("eigenvalue_halved_lower",
                            float(eig.values[k - 1]) / 2.0, consts.rho, True))
     timings["constants"] = time.perf_counter() - t0
@@ -326,7 +308,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     inter_section = None
     if g.n <= INTERCONNECT_MAX_VERTICES and k >= 2:
-        inter = inter_connection(g, k)
+        inter = inter_connection(g, k, constants=consts)
         if inter.degenerate:
             inter_section = {"degenerate": True, "rho": inter.rho,
                              "rho_hat": inter.rho_hat}
@@ -356,7 +338,6 @@ def cmd_verify(args) -> int:
     timings["interconnection"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    emb, _ = exact_embedding(g, k, args.dense_threshold)
     pts = normalized_weighted_pointset(emb)
     oracle, _ = optimal_cost_bruteforce(pts, k)
     heur = best_of_orss(pts, k, args.seed, args.restarts)
@@ -367,7 +348,7 @@ def cmd_verify(args) -> int:
     report = {
         "schema": SCHEMA, "command": "verify",
         "config": _config_echo(args, "verify"), "graph": _graph_stats(g),
-        "eigenvalues": [float(v) for v in eig.values[:min(k + 1, eig.n)]],
+        "eigenvalues": [float(v) for v in eig.values],
         "constants": {"rho": consts.rho, "rho_hat": consts.rho_hat,
                       "rho_avr": consts.rho_avr},
         "interconnection": inter_section,
@@ -399,11 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, default=20,
                        help="k-means restarts (best kept)")
         p.add_argument("--out", default=None, help="report path (default stdout)")
-        p.add_argument("--dense-threshold", type=int, default=4096,
-                       dest="dense_threshold")
-        p.add_argument("--lambda-k1-lower", type=float, default=None,
-                       dest="lambda_k1_lower",
-                       help="certified lower bound on lambda_{k+1} for large-n power mode")
 
     p_cluster = sub.add_parser("cluster", help="embed and cluster a graph")
     common(p_cluster)
@@ -427,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     from .errors import CapacityError, InputError, NumericError
 
     parser = build_parser()

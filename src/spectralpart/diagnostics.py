@@ -30,7 +30,7 @@ from .graph import (Graph, Partition, block_conductances, match_partitions,
                     sym_diff_volume, volume)
 from .kmeans import separation_ratio
 from .linalg import EigenSystem
-from .spectral import DENSE_THRESHOLD, exact_embedding, normalized_weighted_pointset
+from .spectral import Embedding, exact_embedding, normalized_weighted_pointset
 
 #: Absolute slack added on top of every bound before calling a check failed.
 CHECK_TOL = 1e-9
@@ -379,19 +379,21 @@ def _phi_ic_exact(g: Graph, part_labels, tuple_labels, k):
     return best if best is not None else Fraction(-10 ** 9, 1)
 
 
-def inter_connection(g: Graph, k: int, work_cap: int = 20_000_000) -> InterConnection:
+def inter_connection(g: Graph, k: int, work_cap: int = 20_000_000,
+                     constants: PartitionConstants | None = None) -> InterConnection:
     """Exhaustive inter-connection constant for n <= 10.
 
     Enumerates all optimal disjoint k-tuples and all their compatible
     partition completions; raises CapacityError if that product exceeds
-    ``work_cap`` assignments.
+    ``work_cap`` assignments. ``constants``, when given, must be
+    bruteforce_partition_constants(g, k); passing it saves that scan.
     """
     if g.n > INTERCONNECT_MAX_VERTICES:
         raise CapacityError("inter-connection supports n <= %d (got %d)"
                             % (INTERCONNECT_MAX_VERTICES, g.n))
     if k < 2 or k > g.n:
         raise InputError("k must be in [2, n]")
-    consts = bruteforce_partition_constants(g, k)
+    consts = constants if constants is not None else bruteforce_partition_constants(g, k)
     if consts.rho_hat_exact == consts.rho_exact:
         return InterConnection(degenerate=True, rho=consts.rho, rho_hat=consts.rho_hat)
 
@@ -473,7 +475,8 @@ def _record(name, lhs, rhs, hypothesis_met, note="") -> CheckRecord:
 def run_theorem_checks(g: Graph, k: int, planted: Partition,
                        clustered: Partition | None = None,
                        alpha: float = 1.1, seed: int = 0,
-                       dense_threshold: int = DENSE_THRESHOLD) -> list[CheckRecord]:
+                       exact: tuple[Embedding, EigenSystem] | None = None
+                       ) -> list[CheckRecord]:
     """Measure every structural inequality against the reference partition.
 
     Emits records, in a fixed order, for: per-block indicator-vs-projection
@@ -486,8 +489,10 @@ def run_theorem_checks(g: Graph, k: int, planted: Partition,
 
     All gap-dependent bounds use psi = lambda_{k+1} / (average conductance of
     ``planted``), the exact quantity they are proved from for this partition.
+    ``exact``, when given, must be exact_embedding(g, k); passing it saves
+    a second eigensolve.
     """
-    emb, eig = exact_embedding(g, k, dense_threshold)
+    emb, eig = exact if exact is not None else exact_embedding(g, k)
     if eig.n < k + 1:
         raise InputError("need at least k+1 eigenvalues")
     gbar = characteristic_vectors(g, planted)

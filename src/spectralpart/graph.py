@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, NumericError
 from .linalg import rng_stream
@@ -213,6 +212,9 @@ def match_partitions(g: Graph, a: Partition, b: Partition) -> np.ndarray:
             if best_obj is None or obj < best_obj:
                 best_pi, best_obj = pi, obj
         return np.asarray(best_pi, dtype=np.int64)
+    # Imported here: scipy.optimize is slow to load and only this path needs it.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(-overlap)
     pi = np.empty(k, dtype=np.int64)
     pi[rows] = cols

@@ -53,7 +53,8 @@ def gaussian_matrix(n: int, k: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Full spectrum of a symmetric matrix.
+    """Eigenpairs of a symmetric matrix: all of them from sym_eig, the lowest
+    min(k+1, n) of the normalized Laplacian from spectral.spectrum.
 
     ``values`` is ascending; column ``j`` of ``vectors`` is the unit
     eigenvector paired with ``values[j]``, sign-fixed so its largest-magnitude

@@ -5,9 +5,12 @@ sqrt(d_u); the induced k-means instance is the set of those n points weighted
 by degree (weights stand in for the usual "d_u duplicated copies" view, which
 costs the same under weighted k-means and O(n) instead of O(m) memory).
 
-Two construction routes are provided: a dense exact eigensolve, and the power
-iteration on I + D^{-1/2} A D^{-1/2} followed by a thin SVD, which
-approximates the leading eigenspace using only sparse matvecs.
+One spectrum stage, ``spectrum``, computes the k+1 lowest eigenpairs of the
+normalized Laplacian with the sparse Lanczos solver (ARPACK) on
+I + D^{-1/2} A D^{-1/2}; every eigen-consumer reads it. Two embedding routes
+are built on top: the exact embedding takes the k lowest of those
+eigenvectors, and the power iteration on I + D^{-1/2} A D^{-1/2}, with a QR
+after every matvec, approximates the same subspace using only sparse matvecs.
 """
 
 from __future__ import annotations
@@ -17,36 +20,34 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .errors import CapacityError, GapError, InputError, NumericError
+from .errors import GapError, InputError, NumericError
 from .graph import Graph
 from .kmeans import WeightedPoints
-from .linalg import EigenSystem, gaussian_matrix, sym_eig, thin_svd
+from .linalg import (ORTHONORMALITY_TOL, RESIDUAL_RTOL, EigenSystem,
+                     _fix_signs, gaussian_matrix, rng_stream, sym_eig)
 
-#: Above this vertex count the dense exact path is refused.
-DENSE_THRESHOLD = 4096
-
-_RANK_COLLAPSE_TOL = 1e-300
+#: A power-iteration block whose QR diagonal falls below this fraction of its
+#: largest entry has lost rank.
+_RANK_COLLAPSE_RTOL = 1e-12
 
 
 class LaplacianOps:
     """Matvec access to I - N and I + N for N = D^{-1/2} A D^{-1/2}.
 
     The two operators are exchangeable through apply_laplacian(x) +
-    apply_shifted(x) = 2x and are both symmetric. A dense normalized
-    Laplacian is materialized on demand for n <= dense_threshold.
+    apply_shifted(x) = 2x and are both symmetric.
     """
 
-    def __init__(self, graph: Graph, dense_threshold: int = DENSE_THRESHOLD):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.dense_threshold = int(dense_threshold)
         self._inv_sqrt_d = 1.0 / np.sqrt(graph.degrees.astype(float))
         e = graph.edges
         rows = np.concatenate([e[:, 0], e[:, 1]])
         cols = np.concatenate([e[:, 1], e[:, 0]])
         data = np.ones(len(rows))
         self._adj = sparse.csr_array((data, (rows, cols)), shape=(graph.n, graph.n))
-        self._dense_lap: np.ndarray | None = None
 
     def _norm_adj(self, x: np.ndarray) -> np.ndarray:
         scale = self._inv_sqrt_d if x.ndim == 1 else self._inv_sqrt_d[:, None]
@@ -62,29 +63,13 @@ class LaplacianOps:
         x = np.asarray(x, dtype=float)
         return x + self._norm_adj(x)
 
-    def dense_laplacian(self) -> np.ndarray:
-        """Dense I - N; refused above dense_threshold."""
-        if self.graph.n > self.dense_threshold:
-            raise CapacityError(
-                "dense Laplacian for n=%d exceeds threshold %d"
-                % (self.graph.n, self.dense_threshold))
-        if self._dense_lap is None:
-            a = self._adj.toarray()
-            scaled = self._inv_sqrt_d[:, None] * a * self._inv_sqrt_d[None, :]
-            self._dense_lap = np.eye(self.graph.n) - scaled
-        return self._dense_lap
-
-
-def build_ops(g: Graph, dense_threshold: int = DENSE_THRESHOLD) -> LaplacianOps:
-    return LaplacianOps(g, dense_threshold)
-
 
 @dataclass(frozen=True)
 class Embedding:
     """Per-vertex k-dimensional spectral coordinates with degree weights.
 
     ``basis`` holds the orthonormal columns (exact eigenvectors or the power
-    method's left singular vectors); ``coords`` is basis with row u divided by
+    method's final QR factor); ``coords`` is basis with row u divided by
     sqrt(d_u). The degree-weighted Gram identity sum_u d_u F(u) F(u)^T = I_k
     holds for both kinds.
     """
@@ -130,21 +115,61 @@ def _freeze_embedding(basis: np.ndarray, g: Graph, kind: str,
                      power_steps=power_steps, seed=seed)
 
 
-def exact_embedding(g: Graph, k: int,
-                    dense_threshold: int = DENSE_THRESHOLD) -> tuple[Embedding, EigenSystem]:
-    """Embedding from the k lowest exact eigenvectors, plus the full spectrum.
+def spectrum(g: Graph, k: int) -> EigenSystem:
+    """The min(k+1, n) lowest eigenpairs of the normalized Laplacian I - N.
 
-    Dense-only: refused above dense_threshold. Within-eigenspace bases are
-    fixed by sym_eig's deterministic ordering and sign rule; downstream
-    consumers compare projectors or costs, which are invariant to that choice.
+    ARPACK's Lanczos solver (``eigsh``, ``which="LA"``, ``tol=0``) finds the
+    largest eigenvalues theta of I + N through LaplacianOps matvecs, and
+    lambda = 2 - theta; the start vector comes from the fixed stream
+    ``rng_stream(0, "spectral", "spectrum")``, so the result is deterministic
+    per graph. Where ARPACK cannot run (k+1 >= n-1) the dense I - N goes
+    through sym_eig instead. Either way values are ascending, vectors follow
+    the sym_eig sign rule, and every pair must pass ||(I - N)v - lambda v|| <=
+    RESIDUAL_RTOL with columns orthonormal to ORTHONORMALITY_TOL, else
+    NumericError.
     """
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
-    if g.n > dense_threshold:
-        raise CapacityError("exact embedding needs n <= %d (got n=%d); use the power route"
-                            % (dense_threshold, g.n))
-    ops = build_ops(g, dense_threshold)
-    eig = sym_eig(ops.dense_laplacian())
+    n = g.n
+    pairs = min(k + 1, n)
+    ops = LaplacianOps(g)
+    if pairs >= n - 1:
+        full = sym_eig(ops.apply_laplacian(np.eye(n)))
+        values = full.values[:pairs].copy()
+        vectors = full.vectors[:, :pairs].copy()
+    else:
+        shifted = LinearOperator((n, n), matvec=ops.apply_shifted,
+                                 matmat=ops.apply_shifted, dtype=float)
+        v0 = rng_stream(0, "spectral", "spectrum").standard_normal(n)
+        try:
+            theta, vectors = eigsh(shifted, k=pairs, which="LA", tol=0, v0=v0)
+        except ArpackError as exc:
+            raise NumericError("sparse eigensolve failed: %s" % exc) from exc
+        order = np.argsort(-theta, kind="stable")
+        values = 2.0 - theta[order]
+        vectors = np.ascontiguousarray(vectors[:, order])
+        _fix_signs(vectors)
+    residual = np.linalg.norm(ops.apply_laplacian(vectors) - vectors * values, axis=0)
+    if residual.max() > RESIDUAL_RTOL:
+        raise NumericError("eigenpair residual %.3e exceeds %.3e"
+                           % (residual.max(), RESIDUAL_RTOL))
+    drift = np.abs(vectors.T @ vectors - np.eye(pairs)).max()
+    if drift > ORTHONORMALITY_TOL:
+        raise NumericError("eigenvectors off orthonormal by %.3e (tolerance %.3e)"
+                           % (drift, ORTHONORMALITY_TOL))
+    values.flags.writeable = False
+    vectors.flags.writeable = False
+    return EigenSystem(values=values, vectors=vectors)
+
+
+def exact_embedding(g: Graph, k: int) -> tuple[Embedding, EigenSystem]:
+    """Embedding from the k lowest eigenvectors, plus the spectrum() it came from.
+
+    Within-eigenspace bases are fixed by spectrum's deterministic start vector
+    and sign rule; downstream consumers compare projectors or costs, which
+    are invariant to that choice.
+    """
+    eig = spectrum(g, k)
     basis = eig.vectors[:, :k].copy()
     return _freeze_embedding(basis, g, "exact"), eig
 
@@ -174,26 +199,26 @@ def required_power_steps(n: int, k: int, eps: float, delta: float,
 def power_embedding(g: Graph, k: int, params: PowerParams) -> Embedding:
     """Approximate embedding: p sparse matvecs of I + N on a Gaussian block.
 
-    The operator power is never materialized; columns are renormalized after
-    each application to avoid overflow, which rescales columns only and so
-    leaves the SVD's left subspace unchanged. Runtime O(m k p + n k^2).
-    Deterministic for fixed (graph, params).
+    Subspace iteration: the operator power is never materialized, and the
+    block is re-orthonormalized by a QR after every application, so its
+    columns cannot all drift toward the top eigenvector. A diagonal entry of
+    R below _RANK_COLLAPSE_RTOL times the largest one means the block lost
+    rank, and raises NumericError. Runtime O(m k p + n k^2 p). Deterministic
+    for fixed (graph, params).
     """
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
-    ops = build_ops(g)
+    ops = LaplacianOps(g)
     block = gaussian_matrix(g.n, k, params.seed)
     for _ in range(params.steps):
-        block = ops.apply_shifted(block)
-        norms = np.linalg.norm(block, axis=0)
-        if np.any(norms < _RANK_COLLAPSE_TOL):
-            raise NumericError("power iteration column collapsed; rerun with a new seed")
-        block = block / norms
-    u, s, _ = thin_svd(block)
-    if s[-1] < _RANK_COLLAPSE_TOL:
-        raise NumericError(
-            "rank collapse in power iteration (sigma_k=%.3e); rerun with a new seed" % s[-1])
-    return _freeze_embedding(u, g, "approximate", power_steps=params.steps, seed=params.seed)
+        block, r = np.linalg.qr(ops.apply_shifted(block))
+        diag = np.abs(np.diag(r))
+        if diag.min() <= _RANK_COLLAPSE_RTOL * diag.max():
+            raise NumericError(
+                "rank collapse in power iteration (|R_jj| from %.3e to %.3e); "
+                "rerun with a new seed" % (diag.min(), diag.max()))
+    return _freeze_embedding(block, g, "approximate", power_steps=params.steps,
+                             seed=params.seed)
 
 
 def projection_distance(a, b) -> float:

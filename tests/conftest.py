@@ -18,6 +18,17 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def dense_laplacian(g: Graph) -> np.ndarray:
+    """Dense normalized Laplacian I - D^{-1/2} A D^{-1/2}, built from the edge
+    list alone so it can serve as an independent oracle."""
+    a = np.zeros((g.n, g.n))
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    a[u, v] = 1.0
+    a[v, u] = 1.0
+    inv_sqrt_d = 1.0 / np.sqrt(a.sum(axis=1))
+    return np.eye(g.n) - inv_sqrt_d[:, None] * a * inv_sqrt_d[None, :]
+
+
 def disjoint_cliques(k: int, size: int) -> tuple[Graph, Partition]:
     edges = []
     for c in range(k):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -74,7 +77,7 @@ class TestCluster:
                      "--mode", "exact", "--seed", "1", "--out", str(out)])
         assert code == 0
         rep = load_report(out)
-        assert rep["schema"] == "spectral-part/1"
+        assert rep["schema"] == "spectral-part/2"
         assert rep["graph"] == {"n": 60, "m": 573}
         assert rep["planted_match"]["relative_sym_diff_volume"] == [0.0, 0.0, 0.0]
 
@@ -86,7 +89,7 @@ class TestCluster:
         assert code == 0
         rep = load_report(out)
         assert rep["power"]["steps"] >= 1
-        assert rep["power"]["lambda_source"] == "exact-eigensolve"
+        assert rep["power"]["lambda_source"] == "sparse-eigensolve"
         assert len(rep["eigenvalues"]) == 4
         assert rep["gap"]["reference"] == "planted"
 
@@ -125,6 +128,15 @@ class TestCluster:
 
     def test_k_validation(self, capsys):
         assert main(["cluster", "--gen", "ring:k=2,size=3,b=1", "--k", "1"]) == 2
+
+    def test_power_mode_needs_k_below_n(self, tmp_path, capsys):
+        edge_file = tmp_path / "p3.txt"
+        edge_file.write_text("0 1\n1 2\n")
+        code = main(["cluster", "--input", str(edge_file), "--k", "3",
+                     "--mode", "power", "--seed", "0"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["kind"] == "input"
 
     def test_no_spectral_gap_power_mode(self, capsys):
         # complete graph: lambda_k == lambda_{k+1}, power mode must refuse
@@ -263,3 +275,16 @@ class TestReportContract:
         out = tmp_path / "rep.json"
         assert main(["cluster", "--gen", "ring:k=2,size=4,b=1", "--k", "2",
                      "--seed", "0", "--out", str(out)]) == 0
+
+
+def test_thread_cap_applied_on_package_import():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["SPECTRAL_PART_THREADS"] = "3"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, os; assert 'numpy' not in sys.modules; import spectralpart; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "3"

@@ -11,8 +11,8 @@ from spectralpart import (CapacityError, EigenSystem, GapError, Graph,
                           estimation_centers, exact_embedding, gap_report,
                           gen_ring_of_cliques, gen_sbm, inter_connection,
                           run_theorem_checks, volume)
-from conftest import (complete_graph, disjoint_cliques, path_graph,
-                      random_connected_graph)
+from conftest import (complete_graph, dense_laplacian, disjoint_cliques,
+                      path_graph, random_connected_graph)
 
 
 def triangles_with_center():
@@ -36,8 +36,7 @@ class TestCharacteristicVectors:
         g, p = two_triangles_bridge
         gbar = characteristic_vectors(g, p)
         ops_quad = []
-        from spectralpart import build_ops
-        lap = build_ops(g).dense_laplacian()
+        lap = dense_laplacian(g)
         for i in range(2):
             ops_quad.append(gbar[:, i] @ lap @ gbar[:, i])
         assert ops_quad == pytest.approx([1 / 7, 1 / 7], abs=1e-9)
@@ -45,8 +44,7 @@ class TestCharacteristicVectors:
     def test_disjoint_cliques_zero_quadratic(self):
         g, p = disjoint_cliques(2, 4)
         gbar = characteristic_vectors(g, p)
-        from spectralpart import build_ops
-        lap = build_ops(g).dense_laplacian()
+        lap = dense_laplacian(g)
         for i in range(2):
             assert gbar[:, i] @ lap @ gbar[:, i] == pytest.approx(0.0, abs=1e-12)
 
@@ -240,6 +238,19 @@ class TestInterConnection:
         with pytest.raises(CapacityError):
             inter_connection(g, 3)
 
+    def test_precomputed_constants_give_same_result(self):
+        g = triangles_with_center()
+        consts = bruteforce_partition_constants(g, 3)
+        assert (consts.rho_exact, consts.rho_hat_exact, consts.rho_avr_exact) == \
+            (Fraction(1, 7), Fraction(1, 5), Fraction(17, 105))
+        for inter in (inter_connection(g, 3), inter_connection(g, 3, constants=consts)):
+            assert (inter.rho, inter.rho_hat) == (consts.rho, consts.rho_hat)
+            assert inter.rho_p_exact == Fraction(1, 2)
+            assert inter.kappa == 2.0
+            assert inter.rho_avr_tilde == float(Fraction(17, 105))
+            assert inter.witness_partition.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 0]
+            assert inter.witness_tuple.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, -1]
+
 
 class TestRunTheoremChecks:
     def test_disjoint_cliques_all_applicable_pass(self):
@@ -288,6 +299,11 @@ class TestRunTheoremChecks:
         a = run_theorem_checks(g, 3, p, seed=9)
         b = run_theorem_checks(g, 3, p, seed=9)
         assert a == b
+
+    def test_precomputed_embedding_gives_same_records(self):
+        g, p = gen_ring_of_cliques(3, 12, 1, seed=5)
+        assert run_theorem_checks(g, 3, p, seed=9, exact=exact_embedding(g, 3)) == \
+            run_theorem_checks(g, 3, p, seed=9)
 
     def test_unconditional_bound_random_sbm_sample(self):
         # a slice of the acceptance criterion: 10 seeded SBM instances

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from spectralpart import (InputError, build_ops, gaussian_matrix, rng_stream,
-                          sym_eig, thin_svd)
-from conftest import complete_graph, cycle_graph, path_graph
-
-
-def normalized_laplacian(g):
-    return build_ops(g).dense_laplacian()
+from spectralpart import InputError, gaussian_matrix, rng_stream, sym_eig, thin_svd
+from conftest import complete_graph, cycle_graph, dense_laplacian, path_graph
 
 
 class TestSymEig:
@@ -16,11 +11,11 @@ class TestSymEig:
         assert np.allclose(eig.values, [1.0, 1.0])
 
     def test_k2_laplacian(self):
-        eig = sym_eig(normalized_laplacian(complete_graph(2)))
+        eig = sym_eig(dense_laplacian(complete_graph(2)))
         assert np.allclose(eig.values, [0.0, 2.0], atol=1e-12)
 
     def test_k4_laplacian(self):
-        eig = sym_eig(normalized_laplacian(complete_graph(4)))
+        eig = sym_eig(dense_laplacian(complete_graph(4)))
         assert np.allclose(eig.values, [0.0, 4 / 3, 4 / 3, 4 / 3], atol=1e-9)
 
     def test_diagonal_matrix(self):
@@ -30,13 +25,13 @@ class TestSymEig:
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_path_closed_form(self, n):
         # normalized Laplacian spectrum of a path: 1 - cos(pi j / (n-1))
-        eig = sym_eig(normalized_laplacian(path_graph(n)))
+        eig = sym_eig(dense_laplacian(path_graph(n)))
         expected = np.sort(1 - np.cos(np.pi * np.arange(n) / (n - 1)))
         assert np.allclose(eig.values, expected, atol=1e-9)
 
     @pytest.mark.parametrize("n", [4, 6, 9])
     def test_cycle_closed_form(self, n):
-        eig = sym_eig(normalized_laplacian(cycle_graph(n)))
+        eig = sym_eig(dense_laplacian(cycle_graph(n)))
         expected = np.sort(1 - np.cos(2 * np.pi * np.arange(n) / n))
         assert np.allclose(eig.values, expected, atol=1e-9)
 
@@ -84,7 +79,7 @@ class TestSymEig:
         # block-diagonal Laplacian of 3 disjoint triangles
         from conftest import disjoint_cliques
         g, _ = disjoint_cliques(3, 3)
-        eig = sym_eig(normalized_laplacian(g))
+        eig = sym_eig(dense_laplacian(g))
         assert int(np.sum(np.abs(eig.values) < 1e-8)) == 3
 
 

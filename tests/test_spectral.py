@@ -1,28 +1,29 @@
 import numpy as np
 import pytest
 
-from spectralpart import (CapacityError, GapError, InputError, PowerParams,
-                          build_ops, exact_embedding, gen_ring_of_cliques,
+from spectralpart import (GapError, InputError, LaplacianOps, NumericError,
+                          PowerParams, exact_embedding, gen_ring_of_cliques,
                           gen_sbm, normalized_weighted_pointset,
                           power_embedding, projection_distance, read_embedding,
-                          required_power_steps, sym_eig, write_embedding)
-from conftest import complete_graph, disjoint_cliques
+                          required_power_steps, write_embedding)
+from conftest import complete_graph, dense_laplacian, disjoint_cliques
 
 
 class TestLaplacianOps:
     def test_k2_dense(self):
-        ops = build_ops(complete_graph(2))
-        assert np.allclose(ops.dense_laplacian(), [[1, -1], [-1, 1]])
+        ops = LaplacianOps(complete_graph(2))
+        assert np.allclose(ops.apply_laplacian(np.eye(2)), [[1, -1], [-1, 1]])
+        assert np.allclose(dense_laplacian(complete_graph(2)), [[1, -1], [-1, 1]])
 
     def test_kernel_vector(self, two_triangles_bridge):
         g, _ = two_triangles_bridge
-        ops = build_ops(g)
+        ops = LaplacianOps(g)
         x = np.sqrt(g.degrees.astype(float))
         assert np.abs(ops.apply_laplacian(x)).max() < 1e-12
 
     def test_psd_quadratic_form(self):
         g, _ = gen_sbm([10, 10], 0.5, 0.1, seed=2)
-        ops = build_ops(g)
+        ops = LaplacianOps(g)
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.standard_normal(g.n)
@@ -30,23 +31,17 @@ class TestLaplacianOps:
 
     def test_operators_sum_to_twice_identity(self, two_triangles_bridge):
         g, _ = two_triangles_bridge
-        ops = build_ops(g)
+        ops = LaplacianOps(g)
         rng = np.random.default_rng(1)
         x = rng.standard_normal(g.n)
         assert np.allclose(ops.apply_laplacian(x) + ops.apply_shifted(x), 2 * x)
 
     def test_operator_symmetry(self, two_triangles_bridge):
         g, _ = two_triangles_bridge
-        ops = build_ops(g)
+        ops = LaplacianOps(g)
         rng = np.random.default_rng(2)
         x, y = rng.standard_normal((2, g.n))
         assert abs(ops.apply_laplacian(x) @ y - x @ ops.apply_laplacian(y)) < 1e-10
-
-    def test_dense_capacity(self, two_triangles_bridge):
-        g, _ = two_triangles_bridge
-        ops = build_ops(g, dense_threshold=4)
-        with pytest.raises(CapacityError):
-            ops.dense_laplacian()
 
 
 class TestExactEmbedding:
@@ -77,13 +72,9 @@ class TestExactEmbedding:
         with pytest.raises(InputError):
             exact_embedding(k4, 5)
 
-    def test_capacity_error(self, k4):
-        with pytest.raises(CapacityError):
-            exact_embedding(k4, 2, dense_threshold=3)
-
-    def test_full_spectrum_returned(self, k4):
+    def test_k_plus_one_pairs_returned(self, k4):
         _, eig = exact_embedding(k4, 2)
-        assert eig.n == 4
+        assert eig.n == 3
 
 
 class TestRequiredPowerSteps:
@@ -149,6 +140,22 @@ class TestPowerEmbedding:
             averages.append(np.mean(dists))
         for a, b in zip(averages, averages[1:]):
             assert b <= a + 1e-9
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    def test_subspace_kept_at_small_eps(self, eps):
+        # Without re-orthonormalization every column drifts toward the top
+        # eigenvector: projector distance 8.8e-2 at eps=1e-4 and 2.1 at 1e-6.
+        g, _ = gen_sbm([300] * 4, 0.1, 0.02, seed=3)
+        exact, eig = exact_embedding(g, 4)
+        p = required_power_steps(g.n, 4, eps, 0.1,
+                                 float(eig.values[3]), float(eig.values[4]))
+        approx = power_embedding(g, 4, PowerParams(steps=p, seed=0, eps=eps, delta=0.1))
+        assert projection_distance(exact, approx) <= eps
+
+    def test_rank_collapse_raises(self):
+        # K2 with k = 2: I + N has eigenvalues 2 and 0, so one column dies
+        with pytest.raises(NumericError, match="rank collapse"):
+            power_embedding(complete_graph(2), 2, PowerParams(steps=3, seed=0))
 
     def test_params_validation(self):
         with pytest.raises(InputError):
