@@ -34,8 +34,7 @@ from .graph import (Graph, Partition, block_conductances, conductance, cut,
 from .kmeans import (Clustering, SeparationEstimate, WeightedPoints,
                      best_of_orss, cost, lloyd_step, optimal_cost_bruteforce,
                      orss_kmeans, separation_ratio)
-from .linalg import (EigenSystem, gaussian_matrix, rng_stream, sym_eig,
-                     thin_svd)
+from .linalg import EigenSystem, gaussian_matrix, rng_stream, sym_eig
 from .spectral import (Embedding, LaplacianOps, PowerParams, exact_embedding,
                        normalized_weighted_pointset, power_embedding,
                        projection_distance, read_embedding,
@@ -59,7 +58,7 @@ __all__ = [
     "Clustering", "SeparationEstimate", "WeightedPoints", "best_of_orss",
     "cost", "lloyd_step", "optimal_cost_bruteforce", "orss_kmeans",
     "separation_ratio",
-    "EigenSystem", "gaussian_matrix", "rng_stream", "sym_eig", "thin_svd",
+    "EigenSystem", "gaussian_matrix", "rng_stream", "sym_eig",
     "Embedding", "LaplacianOps", "PowerParams", "exact_embedding",
     "normalized_weighted_pointset", "power_embedding", "projection_distance",
     "read_embedding", "required_power_steps", "spectrum", "write_embedding",

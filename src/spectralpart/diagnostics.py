@@ -191,56 +191,17 @@ def gap_report(g: Graph, k: int, reference: Partition, eig: EigenSystem) -> GapR
 # Brute-force constants (n <= 12)
 # ---------------------------------------------------------------------------
 
-def _int_graph(g: Graph) -> tuple[list[list[int]], list[int]]:
-    adj = [g.neighbors(u).tolist() for u in range(g.n)]
-    deg = g.degrees.tolist()
-    return adj, deg
-
-
-def _scan_labellings(n, adj, deg, k, allow_skip, on_leaf):
-    """Enumerate canonical labellings (first-use block order; -1 = skipped)
-    with incremental per-block cut/volume bookkeeping."""
-    labels = [-1] * n
-    cut = [0] * k
-    vol = [0] * k
-
-    def rec(v, used):
-        if n - v < k - used:
-            return
-        if v == n:
-            on_leaf(labels, cut, vol)
-            return
-        if allow_skip:
-            rec(v + 1, used)
-        top = min(used + 1, k)
-        for b in range(top):
-            vol[b] += deg[v]
-            cut[b] += deg[v]
-            for u in adj[v]:
-                if u < v and labels[u] == b:
-                    cut[b] -= 2
-            labels[v] = b
-            rec(v + 1, used + (1 if b == used else 0))
-            labels[v] = -1
-            vol[b] -= deg[v]
-            cut[b] -= deg[v]
-            for u in adj[v]:
-                if u < v and labels[u] == b:
-                    cut[b] += 2
-
-    rec(0, 0)
-
-
 @dataclass(frozen=True)
 class PartitionConstants:
     """Exact order-k conductance constants of a small graph.
 
     ``rho``: best max-conductance over disjoint nonempty k-tuples;
     ``rho_hat``: best max-conductance over k-way partitions; ``rho_avr``:
-    minimal average conductance among partitions achieving rho_hat (exact
-    rational ties; with integer cut/volume on n <= 12 distinct values differ
-    by far more than the 1e-12 grouping this realizes). Exact Fractions ride
-    along for downstream exact comparisons.
+    minimal average conductance among partitions achieving rho_hat. Ties
+    are exact Fraction equality. Exact Fractions ride along for downstream
+    exact comparisons. ``optimal_tuples`` lists every k-tuple achieving rho
+    as a canonical labelling (blocks numbered in order of first use, -1 for
+    an uncovered vertex), in scan order.
     """
 
     rho: float
@@ -249,51 +210,80 @@ class PartitionConstants:
     rho_exact: Fraction
     rho_hat_exact: Fraction
     rho_avr_exact: Fraction
+    optimal_tuples: tuple[tuple[int, ...], ...]
 
 
 def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
+    """One scan over canonical labellings with skips (first-use block order;
+    -1 = uncovered), keeping per-block cut and volume incrementally. Every
+    leaf is a k-tuple; a leaf that covers the whole volume is a partition.
+    Conductances are compared by integer cross-multiplication."""
     if g.n > CONSTANTS_MAX_VERTICES:
         raise CapacityError("brute-force constants support n <= %d (got %d)"
                             % (CONSTANTS_MAX_VERTICES, g.n))
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
-    adj, deg = _int_graph(g)
     n = g.n
+    deg = g.degrees.tolist()
+    lower = [[u for u in g.neighbors(v).tolist() if u < v] for v in range(n)]
+    total_vol = sum(deg)
+    labels = [-1] * n
+    cut = [0] * k
+    vol = [0] * k
+    tuples: list[tuple[int, ...]] = []
+    # Worst-block conductance of the best tuple and partition so far, as
+    # (numerator, denominator); avg_best is the partitions' tie-breaker.
+    rho_num = rho_den = hat_num = hat_den = avg_best = None
 
-    part = {"num": None, "den": None, "avg": None}
-
-    def on_partition(labels, cutv, vol):
-        bn, bd = cutv[0], vol[0]
+    def on_leaf():
+        nonlocal rho_num, rho_den, hat_num, hat_den, avg_best
+        bn, bd = cut[0], vol[0]
         for b in range(1, k):
-            if cutv[b] * bd > bn * vol[b]:
-                bn, bd = cutv[b], vol[b]
-        if part["num"] is None or bn * part["den"] < part["num"] * bd:
-            part["num"], part["den"] = bn, bd
-            part["avg"] = sum(Fraction(cutv[b], vol[b]) for b in range(k)) / k
-        elif bn * part["den"] == part["num"] * bd:
-            avg = sum(Fraction(cutv[b], vol[b]) for b in range(k)) / k
-            if avg < part["avg"]:
-                part["avg"] = avg
+            if cut[b] * bd > bn * vol[b]:
+                bn, bd = cut[b], vol[b]
+        if rho_num is None or bn * rho_den < rho_num * bd:
+            rho_num, rho_den = bn, bd
+            tuples.clear()
+            tuples.append(tuple(labels))
+        elif bn * rho_den == rho_num * bd:
+            tuples.append(tuple(labels))
+        if sum(vol) != total_vol:
+            return
+        if hat_num is None or bn * hat_den < hat_num * bd:
+            hat_num, hat_den = bn, bd
+            avg_best = sum(Fraction(cut[b], vol[b]) for b in range(k)) / k
+        elif bn * hat_den == hat_num * bd:
+            avg_best = min(avg_best, sum(Fraction(cut[b], vol[b]) for b in range(k)) / k)
 
-    tup = {"num": None, "den": None}
+    def rec(v, used):
+        if n - v < k - used:
+            return
+        if v == n:
+            on_leaf()
+            return
+        rec(v + 1, used)
+        d = deg[v]
+        inside = [0] * k  # edges from v to labelled earlier vertices, per block
+        for u in lower[v]:
+            if labels[u] >= 0:
+                inside[labels[u]] += 1
+        for b in range(min(used + 1, k)):
+            dcut = d - 2 * inside[b]
+            vol[b] += d
+            cut[b] += dcut
+            labels[v] = b
+            rec(v + 1, used + (b == used))
+            vol[b] -= d
+            cut[b] -= dcut
+        labels[v] = -1
 
-    def on_tuple(labels, cutv, vol):
-        bn, bd = cutv[0], vol[0]
-        for b in range(1, k):
-            if cutv[b] * bd > bn * vol[b]:
-                bn, bd = cutv[b], vol[b]
-        if tup["num"] is None or bn * tup["den"] < tup["num"] * bd:
-            tup["num"], tup["den"] = bn, bd
-
-    _scan_labellings(n, adj, deg, k, False, on_partition)
-    _scan_labellings(n, adj, deg, k, True, on_tuple)
-
-    rho_hat = Fraction(part["num"], part["den"])
-    rho = Fraction(tup["num"], tup["den"])
-    rho_avr = part["avg"]
+    rec(0, 0)
+    rho = Fraction(rho_num, rho_den)
+    rho_hat = Fraction(hat_num, hat_den)
     return PartitionConstants(rho=float(rho), rho_hat=float(rho_hat),
-                              rho_avr=float(rho_avr), rho_exact=rho,
-                              rho_hat_exact=rho_hat, rho_avr_exact=rho_avr)
+                              rho_avr=float(avg_best), rho_exact=rho,
+                              rho_hat_exact=rho_hat, rho_avr_exact=avg_best,
+                              optimal_tuples=tuple(tuples))
 
 
 # ---------------------------------------------------------------------------
@@ -323,32 +313,27 @@ class InterConnection:
     witness_tuple: Partition | None = None
 
 
-def _collect_optimal_tuples(g: Graph, k: int, rho: Fraction) -> list[tuple[int, ...]]:
-    adj, deg = _int_graph(g)
-    found: list[tuple[int, ...]] = []
-
-    def on_tuple(labels, cutv, vol):
-        for b in range(k):
-            if Fraction(cutv[b], vol[b]) > rho:
-                return
-        found.append(tuple(labels))
-
-    _scan_labellings(g.n, adj, deg, k, True, on_tuple)
-    return found
-
-
-def _phi_ic_exact(g: Graph, part_labels, tuple_labels, k):
-    """Exact inter-connection objective of a compatible (partition, tuple) pair.
+def _phi_ic_exact(edges, deg, part_labels, tuple_labels, k):
+    """Exact inter-connection objective and average conductance of a
+    compatible (partition, tuple) pair, as ``(phi_ic, avg)``.
 
     Returns None when every non-core part is empty (the pair carries no
     constraint). A zero boundary denominator can only occur with a
     nonpositive numerator and is treated as 0 (empty constraint) or -inf.
     """
+    in_core = [t >= 0 for t in tuple_labels]
+    has_s = [False] * k
+    vol_p = [0] * k
+    for v, b in enumerate(part_labels):
+        vol_p[b] += deg[v]
+        if not in_core[v]:
+            has_s[b] = True
+    if not any(has_s):
+        return None
     cut_p = [0] * k
     s_out = [0] * k
     s_core = [0] * k
-    in_core = [tuple_labels[v] >= 0 for v in range(g.n)]
-    for u, v in g.edges:
+    for u, v in edges:
         pu, pv = part_labels[u], part_labels[v]
         if pu != pv:
             cut_p[pu] += 1
@@ -361,12 +346,9 @@ def _phi_ic_exact(g: Graph, part_labels, tuple_labels, k):
             if in_core[u] != in_core[v]:
                 s_core[pu] += 1
     best = None
-    has_noncore = False
     for i in range(k):
-        block_has_s = any(part_labels[v] == i and not in_core[v] for v in range(g.n))
-        if not block_has_s:
+        if not has_s[i]:
             continue
-        has_noncore = True
         num = s_out[i] - s_core[i]
         if cut_p[i] == 0:
             ratio = Fraction(0) if num == 0 else None  # None stands for -inf
@@ -374,19 +356,19 @@ def _phi_ic_exact(g: Graph, part_labels, tuple_labels, k):
             ratio = Fraction(num, cut_p[i])
         if ratio is not None and (best is None or ratio > best):
             best = ratio
-    if not has_noncore:
-        return None
-    return best if best is not None else Fraction(-10 ** 9, 1)
+    phi_ic = best if best is not None else Fraction(-10 ** 9, 1)
+    return phi_ic, sum(Fraction(cut_p[i], vol_p[i]) for i in range(k)) / k
 
 
 def inter_connection(g: Graph, k: int, work_cap: int = 20_000_000,
                      constants: PartitionConstants | None = None) -> InterConnection:
     """Exhaustive inter-connection constant for n <= 10.
 
-    Enumerates all optimal disjoint k-tuples and all their compatible
-    partition completions; raises CapacityError if that product exceeds
-    ``work_cap`` assignments. ``constants``, when given, must be
-    bruteforce_partition_constants(g, k); passing it saves that scan.
+    Reads the optimal disjoint k-tuples from the constants' optimal_tuples
+    and enumerates all their compatible partition completions; raises
+    CapacityError if that product exceeds ``work_cap`` assignments.
+    ``constants``, when given, must be bruteforce_partition_constants(g, k);
+    passing it saves that scan.
     """
     if g.n > INTERCONNECT_MAX_VERTICES:
         raise CapacityError("inter-connection supports n <= %d (got %d)"
@@ -397,29 +379,27 @@ def inter_connection(g: Graph, k: int, work_cap: int = 20_000_000,
     if consts.rho_hat_exact == consts.rho_exact:
         return InterConnection(degenerate=True, rho=consts.rho, rho_hat=consts.rho_hat)
 
-    tuples = _collect_optimal_tuples(g, k, consts.rho_exact)
+    tuples = consts.optimal_tuples
     work = sum(k ** sum(1 for t in tup if t < 0) for tup in tuples)
     if work > work_cap:
         raise CapacityError("inter-connection enumeration too large (%d assignments)" % work)
 
-    best = None  # (phi_ic, avg_phi, part_labels, tuple_labels)
+    edges = g.edges.tolist()
+    deg = g.degrees.tolist()
+    best = None  # ((phi_ic, avg_phi), part_labels, tuple_labels)
     for tup in tuples:
         free = [v for v in range(g.n) if tup[v] < 0]
         for combo in itertools.product(range(k), repeat=len(free)):
             part = list(tup)
             for v, b in zip(free, combo):
                 part[v] = b
-            phi_ic = _phi_ic_exact(g, part, tup, k)
-            if phi_ic is None:
-                continue
-            avg = sum(Fraction(c, v) for c, v in _block_cut_vol(g, part, k)) / k
-            key = (phi_ic, avg)
-            if best is None or key < (best[0], best[1]):
-                best = (phi_ic, avg, tuple(part), tup)
+            scored = _phi_ic_exact(edges, deg, part, tup, k)
+            if scored is not None and (best is None or scored < best[0]):
+                best = (scored, tuple(part), tup)
 
     if best is None:
         return InterConnection(degenerate=True, rho=consts.rho, rho_hat=consts.rho_hat)
-    rho_p, avg, part_labels, tuple_labels = best
+    (rho_p, avg), part_labels, tuple_labels = best
     witness_p = Partition(k, np.asarray(part_labels))
     witness_z = Partition(k, np.asarray(tuple_labels), allow_uncovered=True)
     return InterConnection(
@@ -427,18 +407,6 @@ def inter_connection(g: Graph, k: int, work_cap: int = 20_000_000,
         rho_p=float(rho_p), rho_p_exact=rho_p,
         kappa=float(1 / (1 - rho_p)), rho_avr_tilde=float(avg),
         witness_partition=witness_p, witness_tuple=witness_z)
-
-
-def _block_cut_vol(g: Graph, labels, k):
-    cutv = [0] * k
-    vol = [0] * k
-    for v in range(g.n):
-        vol[labels[v]] += int(g.degrees[v])
-    for u, v in g.edges:
-        if labels[u] != labels[v]:
-            cutv[labels[u]] += 1
-            cutv[labels[v]] += 1
-    return list(zip(cutv, vol))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +550,7 @@ def run_theorem_checks(g: Graph, k: int, planted: Partition,
                                    hyp_rec, rec_note))
         clustered_phis = block_conductances(g, clustered)
         for i in range(k):
-            phi_target = float(block_conductances(g, planted)[pi[i]])
+            phi_target = phis[pi[i]]
             lhs = float(clustered_phis[i])
             rhs = (1.0 + 2.0 * bound_factor) * phi_target + 2.0 * bound_factor
             records.append(_record("recovered_conductance[%d]" % i, lhs, rhs,

@@ -1,9 +1,9 @@
-"""Dense symmetric eigendecomposition, thin SVD, and seeded Gaussian sampling.
+"""Dense symmetric eigendecomposition and seeded Gaussian sampling.
 
 Numerics are delegated to LAPACK through numpy; this module pins down the
 deterministic conventions everything downstream relies on: ascending
-eigenvalue order, a fixed eigenvector sign rule, descending singular values,
-and counter-based random streams that are replayable per (module, purpose).
+eigenvalue order, a fixed eigenvector sign rule, and counter-based random
+streams that are replayable per (module, purpose).
 
 Tolerances used across the package live here as constants.
 """
@@ -19,7 +19,7 @@ from .errors import InputError, NumericError
 
 #: Absolute tolerance for accepting a matrix as symmetric.
 SYMMETRY_TOL = 1e-12
-#: Column orthonormality tolerance for eigenvector/singular-vector matrices.
+#: Column orthonormality tolerance for eigenvector matrices.
 ORTHONORMALITY_TOL = 1e-9
 #: Relative residual tolerance (scaled by the Frobenius norm of the input).
 RESIDUAL_RTOL = 1e-8
@@ -69,14 +69,12 @@ class EigenSystem:
         return len(self.values)
 
 
-def _fix_signs(vectors: np.ndarray, companions: np.ndarray | None = None):
+def _fix_signs(vectors: np.ndarray):
     """Flip columns so the largest-|entry| (first on ties) is positive."""
     idx = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     vectors *= signs
-    if companions is not None:
-        companions *= signs
 
 
 def sym_eig(m: np.ndarray) -> EigenSystem:
@@ -110,26 +108,3 @@ def sym_eig(m: np.ndarray) -> EigenSystem:
     vectors.flags.writeable = False
     return EigenSystem(values=values, vectors=vectors)
 
-
-def thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``m = U diag(s) V^T`` of an n-by-k matrix with n >= k.
-
-    Singular values are descending (trailing zeros allowed for rank-deficient
-    input); U columns follow the sym_eig sign convention, with V flipped to
-    match so the product is preserved.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise InputError("thin_svd requires a matrix")
-    n, k = m.shape
-    if n < k:
-        raise InputError("thin_svd requires n >= k (got %d x %d)" % (n, k))
-    if not np.isfinite(m).all():
-        raise InputError("thin_svd requires finite entries")
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("SVD did not converge: %s" % exc) from exc
-    v = vh.T.copy()
-    _fix_signs(u, companions=v)
-    return u, s, v

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -24,6 +25,47 @@ def triangles_with_center():
     tri = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7), (6, 8), (7, 8)]
     g = Graph(10, tri + [(0, 9), (3, 9), (6, 9)])
     return g
+
+
+def oracle_constants(g, k):
+    """(rho, rho_hat, rho_avr, set of optimal tuples) from every labelling in
+    range(-1, k)^n, with exact Fractions. Relabelling blocks changes no
+    conductance, so only canonical labellings (blocks first used in order
+    0, 1, ..., k-1; -1 = uncovered) are scored."""
+    edges = g.edges.tolist()
+    deg = g.degrees.tolist()
+    rho = rho_hat = rho_avr = None
+    tuples = set()
+    for labels in itertools.product(range(-1, k), repeat=g.n):
+        try:
+            firsts = [labels.index(b) for b in range(k)]
+        except ValueError:  # an empty block
+            continue
+        if firsts != sorted(firsts):
+            continue
+        cut = [0] * k
+        vol = [0] * k
+        for v, b in enumerate(labels):
+            if b >= 0:
+                vol[b] += deg[v]
+        for u, v in edges:
+            a, b = labels[u], labels[v]
+            if a != b:
+                if a >= 0:
+                    cut[a] += 1
+                if b >= 0:
+                    cut[b] += 1
+        phis = [Fraction(c, w) for c, w in zip(cut, vol)]
+        worst = max(phis)
+        if rho is None or worst < rho:
+            rho, tuples = worst, set()
+        if worst == rho:
+            tuples.add(labels)
+        if -1 not in labels:
+            avg = sum(phis) / k
+            if rho_hat is None or (worst, avg) < (rho_hat, rho_avr):
+                rho_hat, rho_avr = worst, avg
+    return rho, rho_hat, rho_avr, tuples
 
 
 class TestCharacteristicVectors:
@@ -206,6 +248,20 @@ class TestBruteforceConstants:
         with pytest.raises(CapacityError):
             bruteforce_partition_constants(g, 2)
 
+    def test_matches_labelling_oracle(self):
+        rng = np.random.default_rng(7)
+        cases = [(triangles_with_center(), 3)]  # the only one with rho < rho_hat
+        while len(cases) < 21:
+            g = random_connected_graph(int(rng.integers(5, 9)), 0.5, rng)
+            if g is not None:
+                cases += [(g, 2), (g, 3)]
+        for g, k in cases:
+            consts = bruteforce_partition_constants(g, k)
+            got = (consts.rho_exact, consts.rho_hat_exact, consts.rho_avr_exact,
+                   set(consts.optimal_tuples))
+            assert got == oracle_constants(g, k)
+            assert len(set(consts.optimal_tuples)) == len(consts.optimal_tuples)
+
 
 class TestInterConnection:
     def test_triangles_with_center(self):
@@ -243,6 +299,7 @@ class TestInterConnection:
         consts = bruteforce_partition_constants(g, 3)
         assert (consts.rho_exact, consts.rho_hat_exact, consts.rho_avr_exact) == \
             (Fraction(1, 7), Fraction(1, 5), Fraction(17, 105))
+        assert consts.optimal_tuples == ((0, 0, 0, 1, 1, 1, 2, 2, 2, -1),)
         for inter in (inter_connection(g, 3), inter_connection(g, 3, constants=consts)):
             assert (inter.rho, inter.rho_hat) == (consts.rho, consts.rho_hat)
             assert inter.rho_p_exact == Fraction(1, 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectralpart import InputError, gaussian_matrix, rng_stream, sym_eig, thin_svd
+from spectralpart import InputError, gaussian_matrix, rng_stream, sym_eig
 from conftest import complete_graph, cycle_graph, dense_laplacian, path_graph
 
 
@@ -81,43 +81,6 @@ class TestSymEig:
         g, _ = disjoint_cliques(3, 3)
         eig = sym_eig(dense_laplacian(g))
         assert int(np.sum(np.abs(eig.values) < 1e-8)) == 3
-
-
-class TestThinSVD:
-    def test_orthonormal_input(self):
-        rng = np.random.default_rng(4)
-        q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-        u, s, v = thin_svd(q)
-        assert np.allclose(s, 1.0)
-        assert np.allclose(u @ v.T, q, atol=1e-12)
-
-    def test_zero_matrix(self):
-        u, s, v = thin_svd(np.zeros((5, 2)))
-        assert np.allclose(s, 0.0)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((6, 3))
-        u, s, v = thin_svd(m)
-        assert np.linalg.norm(m - u @ np.diag(s) @ v.T) <= 1e-10
-
-    def test_descending_and_rank_deficient(self):
-        m = np.zeros((6, 3))
-        m[:, 0] = 2.0
-        u, s, v = thin_svd(m)
-        assert s[0] >= s[1] >= s[2]
-        assert s[1] == pytest.approx(0.0, abs=1e-12)
-        assert np.abs(u.T @ u - np.eye(3)).max() < 1e-9
-
-    def test_rejects_wide(self):
-        with pytest.raises(InputError):
-            thin_svd(np.zeros((2, 5)))
-
-    def test_rejects_nan(self):
-        m = np.zeros((4, 2))
-        m[1, 1] = np.nan
-        with pytest.raises(InputError):
-            thin_svd(m)
 
 
 class TestGaussianMatrix:
