@@ -1,10 +1,13 @@
 """Command-line interface: cluster, diagnose, generate, verify.
 
-Reports are JSON with a fixed field order and schema tag "spectral-part/2";
+Reports are JSON with a fixed field order and schema tag "spectral-part/3";
 rerunning a subcommand with the same inputs and seed reproduces the report
-byte for byte except for the "timings" section. Exit codes: 0 success or all
-applicable checks passed, 1 an applicable check failed, 2 input error,
-3 numeric or capacity error.
+byte for byte except for the "timings" section. The "config" section echoes
+the subcommand and its parsed flags in flag order; "gap" and "checks" are the
+GapReport and CheckRecord dataclasses, field for field. Only cluster takes
+--mode/--eps/--delta, and only cluster and verify take --restarts. Exit
+codes: 0 success or all applicable checks passed, 1 an applicable check
+failed, 2 input error, 3 numeric or capacity error.
 
 The environment variable SPECTRAL_PART_THREADS caps internal (BLAS) thread
 parallelism; the package applies it when it is imported, before numpy loads.
@@ -13,12 +16,13 @@ parallelism; the package applies it when it is imported, before numpy loads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 import time
 
-SCHEMA = "spectral-part/2"
+SCHEMA = "spectral-part/3"
 
 _EXIT_CHECK_FAILED = 1
 _EXIT_INPUT = 2
@@ -106,40 +110,12 @@ def _load_graph(args):
     return g, planted
 
 
-def _config_echo(args, command):
-    keys = ("input", "gen", "k", "mode", "eps", "delta", "seed", "restarts",
-            "out", "partition")
-    cfg = {"command": command}
-    for key in keys:
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    return cfg
+def _config_echo(args):
+    return {key: value for key, value in vars(args).items() if key != "func"}
 
 
 def _graph_stats(g):
     return {"n": g.n, "m": g.m}
-
-
-def _gap_section(report):
-    return {
-        "k": report.k,
-        "lambdas": list(report.lambdas),
-        "rho_avr_proxy": report.rho_avr_proxy,
-        "phi_proxy": report.phi_proxy,
-        "psi": report.psi,
-        "upsilon": report.upsilon,
-        "delta": report.delta,
-        "delta_clamped": report.delta_clamped,
-        "proxy_kind": report.proxy_kind,
-    }
-
-
-def _check_section(records):
-    return [
-        {"name": r.name, "lhs": r.lhs, "rhs": r.rhs, "passed": r.passed,
-         "hypothesis_met": r.hypothesis_met, "slack": r.slack, "note": r.note}
-        for r in records
-    ]
 
 
 def _clustering_section(g, part):
@@ -174,7 +150,7 @@ def cmd_cluster(args) -> int:
     timings["load"] = time.perf_counter() - t0
 
     report = {"schema": SCHEMA, "command": "cluster",
-              "config": _config_echo(args, "cluster"), "graph": _graph_stats(g)}
+              "config": _config_echo(args), "graph": _graph_stats(g)}
 
     t0 = time.perf_counter()
     if args.mode == "exact":
@@ -201,9 +177,11 @@ def cmd_cluster(args) -> int:
 
     report["eigenvalues"] = [float(v) for v in eig.values]
     report["power"] = power_info
+    t0 = time.perf_counter()
     reference = planted if planted is not None else result
-    report["gap"] = _gap_section(gap_report(g, args.k, reference, eig))
+    report["gap"] = dataclasses.asdict(gap_report(g, args.k, reference, eig))
     report["gap"]["reference"] = "planted" if planted is not None else "recovered"
+    timings["gap"] = time.perf_counter() - t0
 
     section = _clustering_section(g, result)
     section["cost"] = clustering.cost
@@ -247,10 +225,10 @@ def cmd_diagnose(args) -> int:
 
     report = {
         "schema": SCHEMA, "command": "diagnose",
-        "config": _config_echo(args, "diagnose"), "graph": _graph_stats(g),
+        "config": _config_echo(args), "graph": _graph_stats(g),
         "eigenvalues": [float(v) for v in eig.values],
-        "gap": _gap_section(gap),
-        "checks": _check_section(records),
+        "gap": dataclasses.asdict(gap),
+        "checks": [dataclasses.asdict(r) for r in records],
         "timings": timings,
     }
     _emit(report, args.out)
@@ -270,10 +248,10 @@ def cmd_generate(args) -> int:
     part_path = args.out + ".part"
     G.write_partition(planted, part_path)
     report = {"schema": SCHEMA, "command": "generate",
-              "config": _config_echo(args, "generate"),
+              "config": _config_echo(args),
               "graph": _graph_stats(g),
               "files": {"edges": args.out, "partition": part_path}}
-    sys.stdout.write(json.dumps(_jsonable(report), indent=2) + "\n")
+    _emit(report, None)
     return 0
 
 
@@ -325,10 +303,8 @@ def cmd_verify(args) -> int:
                                    "positivity checked separately"))
             records.append(_record("interconnection_positive", 1e-12, inter.rho_p, True,
                                    "asserts rho_p > 0"))
-            phi_z = [float(G.conductance(g, inter.witness_tuple.labels == i))
-                     for i in range(k)]
-            phi_p = [float(G.conductance(g, inter.witness_partition.labels == i))
-                     for i in range(k)]
+            phi_z = [float(f) for f in G.block_conductances(g, inter.witness_tuple)]
+            phi_p = [float(f) for f in G.block_conductances(g, inter.witness_partition)]
             for i in range(k):
                 records.append(_record("interconnection_witness_phi[%d]" % i,
                                        phi_p[i], inter.kappa * phi_z[i], True))
@@ -347,12 +323,12 @@ def cmd_verify(args) -> int:
 
     report = {
         "schema": SCHEMA, "command": "verify",
-        "config": _config_echo(args, "verify"), "graph": _graph_stats(g),
+        "config": _config_echo(args), "graph": _graph_stats(g),
         "eigenvalues": [float(v) for v in eig.values],
         "constants": {"rho": consts.rho, "rho_hat": consts.rho_hat,
                       "rho_avr": consts.rho_avr},
         "interconnection": inter_section,
-        "checks": _check_section(records),
+        "checks": [dataclasses.asdict(r) for r in records],
         "timings": timings,
     }
     _emit(report, args.out)
@@ -360,12 +336,14 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .kmeans import DEFAULT_RESTARTS
+
     parser = argparse.ArgumentParser(
         prog="spectral-part",
         description="Spectral graph clustering with structural diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mode=True):
+    def common(p, mode=False, restarts=False):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--input", help="edge-list file (one 'u v' per line)")
         src.add_argument("--gen", help="generator spec, e.g. ring:k=3,size=20,b=1")
@@ -377,26 +355,27 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--delta", type=float, default=0.1,
                            help="power-iteration failure budget")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=20,
-                       help="k-means restarts (best kept)")
+        if restarts:
+            p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
+                           help="k-means restarts (best kept)")
         p.add_argument("--out", default=None, help="report path (default stdout)")
 
     p_cluster = sub.add_parser("cluster", help="embed and cluster a graph")
-    common(p_cluster)
+    common(p_cluster, mode=True, restarts=True)
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_diag = sub.add_parser("diagnose", help="run the structural check suite")
-    common(p_diag, mode=False)
+    common(p_diag)
     p_diag.add_argument("--partition", default=None,
                         help="reference partition file ('vertex block' per line)")
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_gen = sub.add_parser("generate", help="write edge-list and planted partition files")
-    common(p_gen, mode=False)
+    common(p_gen)
     p_gen.set_defaults(func=cmd_generate)
 
     p_verify = sub.add_parser("verify", help="small-n brute-force verification suite")
-    common(p_verify, mode=False)
+    common(p_verify, restarts=True)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -39,6 +39,8 @@ SPAN_CONDITION_TOL = 1e-8
 #: Brute-force capacity bounds.
 CONSTANTS_MAX_VERTICES = 12
 INTERCONNECT_MAX_VERTICES = 10
+#: Largest number of partition completions inter_connection enumerates.
+INTERCONNECT_MAX_WORK = 20_000_000
 
 _GAP_SCALE = 20 ** 4          # psi = _GAP_SCALE * k^3 / delta
 _ROW_GRAM_SCALE = 10 ** 4     # psi = _ROW_GRAM_SCALE * k^3 / eps^2
@@ -360,13 +362,13 @@ def _phi_ic_exact(edges, deg, part_labels, tuple_labels, k):
     return phi_ic, sum(Fraction(cut_p[i], vol_p[i]) for i in range(k)) / k
 
 
-def inter_connection(g: Graph, k: int, work_cap: int = 20_000_000,
+def inter_connection(g: Graph, k: int,
                      constants: PartitionConstants | None = None) -> InterConnection:
     """Exhaustive inter-connection constant for n <= 10.
 
     Reads the optimal disjoint k-tuples from the constants' optimal_tuples
     and enumerates all their compatible partition completions; raises
-    CapacityError if that product exceeds ``work_cap`` assignments.
+    CapacityError if that product exceeds INTERCONNECT_MAX_WORK assignments.
     ``constants``, when given, must be bruteforce_partition_constants(g, k);
     passing it saves that scan.
     """
@@ -381,7 +383,7 @@ def inter_connection(g: Graph, k: int, work_cap: int = 20_000_000,
 
     tuples = consts.optimal_tuples
     work = sum(k ** sum(1 for t in tup if t < 0) for tup in tuples)
-    if work > work_cap:
+    if work > INTERCONNECT_MAX_WORK:
         raise CapacityError("inter-connection enumeration too large (%d assignments)" % work)
 
     edges = g.edges.tolist()
@@ -425,8 +427,8 @@ class CheckRecord:
     name: str
     lhs: float
     rhs: float
-    hypothesis_met: bool
     passed: bool
+    hypothesis_met: bool
     slack: float
     note: str = ""
 
@@ -435,8 +437,8 @@ def _record(name, lhs, rhs, hypothesis_met, note="") -> CheckRecord:
     lhs = float(lhs)
     rhs = float(rhs)
     return CheckRecord(name=name, lhs=lhs, rhs=rhs,
-                       hypothesis_met=bool(hypothesis_met),
                        passed=bool(lhs <= rhs + CHECK_TOL),
+                       hypothesis_met=bool(hypothesis_met),
                        slack=rhs - lhs, note=note)
 
 

@@ -8,7 +8,6 @@ only converted to binary float at aggregate APIs (partition_phi and friends).
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,11 +20,12 @@ from .linalg import rng_stream
 class Graph:
     """Immutable undirected simple graph with minimum degree 1.
 
-    Stores the canonical sorted edge array (u < v, lexicographic) plus a
-    CSR-style adjacency (sorted neighbor ids per vertex) for O(d) queries.
+    Stores the canonical sorted edge array (u < v, lexicographic) plus the
+    read-only CSR adjacency ``indices``/``indptr``: the sorted neighbor ids of
+    u are ``indices[indptr[u]:indptr[u + 1]]``.
     """
 
-    __slots__ = ("n", "m", "edges", "degrees", "_nbr", "_off")
+    __slots__ = ("n", "m", "edges", "degrees", "indices", "indptr")
 
     def __init__(self, n: int, edges):
         if n <= 0:
@@ -53,22 +53,22 @@ class Graph:
         src = np.concatenate([canon[:, 0], canon[:, 1]])
         dst = np.concatenate([canon[:, 1], canon[:, 0]])
         order = np.lexsort((dst, src))
-        nbr = dst[order]
-        off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=off[1:])
+        indices = dst[order]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
 
-        for arr in (canon, degrees, nbr, off):
+        for arr in (canon, degrees, indices, indptr):
             arr.flags.writeable = False
         self.n = int(n)
         self.m = int(len(canon))
         self.edges = canon
         self.degrees = degrees
-        self._nbr = nbr
-        self._off = off
+        self.indices = indices
+        self.indptr = indptr
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor ids of u."""
-        return self._nbr[self._off[u]: self._off[u + 1]]
+        return self.indices[self.indptr[u]: self.indptr[u + 1]]
 
     @property
     def total_volume(self) -> int:
@@ -190,11 +190,17 @@ def sym_diff_volume(g: Graph, a, b) -> int:
 def match_partitions(g: Graph, a: Partition, b: Partition) -> np.ndarray:
     """Permutation pi minimizing sum_i volume(A_i symdiff B_pi(i)).
 
-    Exhaustive over permutations for k <= 8; otherwise an optimal-assignment
-    solve on the k-by-k overlap-volume matrix (the two objectives agree since
-    the per-block volumes are permutation invariant). Returns pi as an array
-    with pi[i] = matched block of b for block i of a.
+    The per-block volumes are permutation invariant, so this is the
+    assignment maximizing the total overlap volume; it is solved exactly by
+    a full bipartite matching on the k-by-k overlap matrix. Adding 1 to every
+    entry stores all k^2 pairs as edges (zero overlaps included) and adds
+    exactly k to every full matching, so the optimum is unchanged. Returns pi
+    as an array with pi[i] = matched block of b for block i of a.
     """
+    # Imported here so that this module needs only numpy at import time.
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
     _check_partition(g, a)
     _check_partition(g, b)
     if a.k != b.k:
@@ -203,22 +209,8 @@ def match_partitions(g: Graph, a: Partition, b: Partition) -> np.ndarray:
     covered = (a.labels >= 0) & (b.labels >= 0)
     overlap = np.zeros((k, k))
     np.add.at(overlap, (a.labels[covered], b.labels[covered]), g.degrees[covered])
-    vol_a = np.array([volume(g, a.labels == i) for i in range(k)], dtype=float)
-    vol_b = np.array([volume(g, b.labels == j) for j in range(k)], dtype=float)
-    if k <= 8:
-        best_pi, best_obj = None, None
-        for pi in itertools.permutations(range(k)):
-            obj = sum(vol_a[i] + vol_b[pi[i]] - 2.0 * overlap[i, pi[i]] for i in range(k))
-            if best_obj is None or obj < best_obj:
-                best_pi, best_obj = pi, obj
-        return np.asarray(best_pi, dtype=np.int64)
-    # Imported here: scipy.optimize is slow to load and only this path needs it.
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(-overlap)
-    pi = np.empty(k, dtype=np.int64)
-    pi[rows] = cols
-    return pi
+    _, cols = min_weight_full_bipartite_matching(csr_array(overlap + 1.0), maximize=True)
+    return cols.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

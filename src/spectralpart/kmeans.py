@@ -280,9 +280,9 @@ def optimal_cost_bruteforce(pts: WeightedPoints, k: int) -> tuple[float, Cluster
 class SeparationEstimate:
     """Estimated optimal-cost drop from k-1 to k clusters.
 
-    ``method`` is "bruteforce" (exact, n <= 12) or "restarts" (best-of-r
-    heuristic upper bounds for both costs, so the ratio is only an estimate).
-    ``degenerate`` flags a 0/0 ratio.
+    ``method`` is "bruteforce" (exact, n <= 12) or "restarts" (best of
+    DEFAULT_RESTARTS heuristic upper bounds for both costs, so the ratio is
+    only an estimate). ``degenerate`` flags a 0/0 ratio.
     """
 
     ratio: float
@@ -292,8 +292,7 @@ class SeparationEstimate:
     degenerate: bool
 
 
-def separation_ratio(pts: WeightedPoints, k: int, seed: int,
-                     restarts: int = DEFAULT_RESTARTS) -> SeparationEstimate:
+def separation_ratio(pts: WeightedPoints, k: int, seed: int) -> SeparationEstimate:
     """Estimate Delta_k / Delta_{k-1} with the method recorded alongside."""
     if k < 2:
         raise InputError("separation needs k >= 2")
@@ -303,11 +302,11 @@ def separation_ratio(pts: WeightedPoints, k: int, seed: int,
         delta_km1, _ = optimal_cost_bruteforce(pts, k - 1)
     else:
         method = "restarts"
-        delta_k = best_of_orss(pts, k, seed, restarts).cost
+        delta_k = best_of_orss(pts, k, seed).cost
         if k - 1 == 1:
             delta_km1, _ = optimal_cost_bruteforce(pts, 1)
         else:
-            delta_km1 = best_of_orss(pts, k - 1, seed, restarts).cost
+            delta_km1 = best_of_orss(pts, k - 1, seed).cost
     if delta_km1 <= 0.0:
         return SeparationEstimate(ratio=0.0, delta_k=delta_k, delta_km1=delta_km1,
                                   method=method, degenerate=True)

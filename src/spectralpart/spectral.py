@@ -43,11 +43,9 @@ class LaplacianOps:
     def __init__(self, graph: Graph):
         self.graph = graph
         self._inv_sqrt_d = 1.0 / np.sqrt(graph.degrees.astype(float))
-        e = graph.edges
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        data = np.ones(len(rows))
-        self._adj = sparse.csr_array((data, (rows, cols)), shape=(graph.n, graph.n))
+        self._adj = sparse.csr_array(
+            (np.ones(len(graph.indices)), graph.indices, graph.indptr),
+            shape=(graph.n, graph.n))
 
     def _norm_adj(self, x: np.ndarray) -> np.ndarray:
         scale = self._inv_sqrt_d if x.ndim == 1 else self._inv_sqrt_d[:, None]

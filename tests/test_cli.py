@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from spectralpart import cli
 from spectralpart.cli import main, parse_gen_spec
+from spectralpart.diagnostics import GapReport
 from spectralpart.errors import InputError
 
 
@@ -77,7 +79,7 @@ class TestCluster:
                      "--mode", "exact", "--seed", "1", "--out", str(out)])
         assert code == 0
         rep = load_report(out)
-        assert rep["schema"] == "spectral-part/2"
+        assert rep["schema"] == "spectral-part/3"
         assert rep["graph"] == {"n": 60, "m": 573}
         assert rep["planted_match"]["relative_sym_diff_volume"] == [0.0, 0.0, 0.0]
 
@@ -269,6 +271,45 @@ class TestReportContract:
         assert code == 0
         rep = load_report(out)
         assert rep["gap"]["psi"] == "inf"
+
+    @pytest.mark.parametrize("argv, config_keys, gap_extra", [
+        (["cluster", "--gen", "ring:k=3,size=8,b=1", "--k", "3"],
+         ["command", "input", "gen", "k", "mode", "eps", "delta", "seed", "restarts", "out"],
+         ["reference"]),
+        (["diagnose", "--gen", "ring:k=3,size=8,b=1", "--k", "3"],
+         ["command", "input", "gen", "k", "seed", "out", "partition"], []),
+        (["verify", "--gen", "ring:k=3,size=3,b=1", "--k", "3"],
+         ["command", "input", "gen", "k", "seed", "restarts", "out"], None),
+    ])
+    def test_section_keys(self, tmp_path, capsys, argv, config_keys, gap_extra):
+        out = tmp_path / "rep.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        rep = load_report(out)
+        assert list(rep["config"]) == config_keys
+        if gap_extra is None:
+            assert "gap" not in rep
+        else:
+            gap_keys = [f.name for f in dataclasses.fields(GapReport)]
+            assert list(rep["gap"]) == gap_keys + gap_extra
+        if argv[0] == "cluster":
+            assert list(rep["timings"]) == ["load", "embedding", "kmeans", "gap"]
+        checks = rep.get("checks", [])
+        assert checks or argv[0] == "cluster"
+        for check in checks:
+            assert list(check) == ["name", "lhs", "rhs", "passed", "hypothesis_met",
+                                   "slack", "note"]
+
+    def test_generate_config_keys(self, tmp_path, capsys):
+        main(["generate", "--gen", "ring:k=2,size=3,b=1", "--k", "2",
+              "--out", str(tmp_path / "g.txt")])
+        rep = json.loads(capsys.readouterr().out)
+        assert list(rep["config"]) == ["command", "input", "gen", "k", "seed", "out"]
+
+    @pytest.mark.parametrize("command", ["diagnose", "generate"])
+    def test_restarts_rejected_where_unused(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--gen", "ring:k=2,size=3,b=1", "--k", "2", "--restarts", "5"])
+        assert exc.value.code == 2
 
     def test_thread_cap_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SPECTRAL_PART_THREADS", "1")

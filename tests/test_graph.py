@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +153,44 @@ class TestSymDiffVolume:
             volume(g, a) + volume(g, b) - 2 * volume(g, both))
 
 
+def exhaustive_match(g, a, b):
+    """Reference matcher: every permutation pi scored by the defining
+    objective sum_i volume(A_i symdiff B_pi(i)), as (minimum, optimal pis)."""
+    k = a.k
+    sym = np.array([[sym_diff_volume(g, a.labels == i, b.labels == j) for j in range(k)]
+                    for i in range(k)])
+    perms = np.array(list(itertools.permutations(range(k))))
+    objective = sym[np.arange(k), perms].sum(axis=1)
+    best = int(objective.min())
+    return best, {tuple(pi) for pi in perms[objective == best].tolist()}
+
+
+def random_pair(k, rng, zero_row=False):
+    """Two seeded random labellings of one random connected graph, each
+    tuple-mode (some vertices uncovered) or full, every block nonempty. With
+    ``zero_row``, block 0 of the first is one vertex the second leaves
+    uncovered, so that block overlaps no block of the second."""
+    n = k + int(rng.integers(2, 7))
+    g = None
+    while g is None:
+        g = random_connected_graph(n, 0.5, rng)
+    pair = []
+    for side, uncovered in enumerate(rng.random(2) < 0.4):
+        uncovered = uncovered or zero_row
+        labels = rng.integers(-1 if uncovered else 0, k, size=n)
+        if not zero_row:
+            labels[rng.permutation(n)[:k]] = np.arange(k)
+        elif side == 0:  # block 0 is vertex 0 alone
+            labels[labels == 0] = -1
+            labels[0] = 0
+            labels[rng.permutation(n - 1)[:k - 1] + 1] = np.arange(1, k)
+        else:  # vertex 0 uncovered
+            labels[0] = -1
+            labels[rng.permutation(n - 1)[:k] + 1] = np.arange(k)
+        pair.append(Partition(k, labels, allow_uncovered=bool(uncovered)))
+    return g, pair[0], pair[1]
+
+
 class TestMatchPartitions:
     def test_identity(self, two_triangles_bridge):
         g, p = two_triangles_bridge
@@ -167,14 +206,25 @@ class TestMatchPartitions:
         relabel = np.array([2, 0, 1])
         q = Partition(3, relabel[p.labels])
         pi = match_partitions(g, q, p)
-        # brute-force oracle over all permutations of the overlap objective
-        def objective(perm):
-            return sum(
-                sym_diff_volume(g, q.labels == i, p.labels == perm[i])
-                for i in range(3))
-        best = min(itertools.permutations(range(3)), key=objective)
-        assert tuple(pi) == best
-        assert objective(tuple(pi)) == 0  # exact relabeling
+        best, optimal = exhaustive_match(g, q, p)
+        assert optimal == {tuple(pi)}
+        assert best == 0  # exact relabeling
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_random_pairs_reach_exhaustive_minimum(self, k):
+        rng = np.random.default_rng(100 + k)
+        cases = [random_pair(k, rng) for _ in range(6)]
+        cases += [random_pair(k, rng, zero_row=True) for _ in range(2)]
+        if k >= 2:
+            # every block of a meets every block of b in one vertex: all k! tie
+            g, b = disjoint_cliques(k, k)
+            a = Partition(k, np.tile(np.arange(k), k))
+            assert len(exhaustive_match(g, a, b)[1]) == math.factorial(k)
+            cases.append((g, a, b))
+        for g, a, b in cases:
+            pi = match_partitions(g, a, b)
+            assert sorted(pi.tolist()) == list(range(k))
+            assert tuple(pi.tolist()) in exhaustive_match(g, a, b)[1]
 
     def test_k_mismatch(self, two_triangles_bridge):
         g, p = two_triangles_bridge
