@@ -13,8 +13,8 @@ g, planted = gen_ring_of_cliques(3, 50, 1, seed=2)
 _, eig = exact_embedding(g, 3)
 gap = gap_report(g, 3, planted, eig)
 print("instance: 3 cliques of 50 in a ring, n=%d m=%d" % (g.n, g.m))
-print("gap summary: lambda_4=%.4f avg-phi=%.2e psi=%.0f (proxy: %s)"
-      % (gap.lambdas[3], gap.rho_avr_proxy, gap.psi, gap.proxy_kind))
+print("gap summary: lambda_4=%.4f avg-phi=%.2e psi=%.0f (reference partition)"
+      % (eig.values[3], gap.rho_avr_proxy, gap.psi))
 
 records = run_theorem_checks(g, 3, planted, clustered=planted, alpha=1.0, seed=0)
 print("\n%-34s %12s %12s  %-6s %s" % ("check", "lhs", "rhs", "applies", "pass"))

@@ -1,11 +1,14 @@
 """Command-line interface: cluster, diagnose, generate, verify.
 
-Reports are JSON with a fixed field order and schema tag "spectral-part/3";
+Reports are JSON with a fixed field order and schema tag "spectral-part/4";
 rerunning a subcommand with the same inputs and seed reproduces the report
 byte for byte except for the "timings" section. The "config" section echoes
 the subcommand and its parsed flags in flag order; "gap" and "checks" are the
-GapReport and CheckRecord dataclasses, field for field. Only cluster takes
---mode/--eps/--delta, and only cluster and verify take --restarts. Exit
+GapReport and CheckRecord dataclasses, field for field. "gap" is computed
+from the reference partition (planted, else recovered) at every n; the exact
+small-graph constants come only from verify. Only cluster takes
+--mode/--eps/--delta, and only cluster and verify take --restarts; generate
+refuses a --k that differs from the generator's block count. Exit
 codes: 0 success or all applicable checks passed, 1 an applicable check
 failed, 2 input error, 3 numeric or capacity error.
 
@@ -22,7 +25,7 @@ import math
 import sys
 import time
 
-SCHEMA = "spectral-part/3"
+SCHEMA = "spectral-part/4"
 
 _EXIT_CHECK_FAILED = 1
 _EXIT_INPUT = 2
@@ -244,6 +247,8 @@ def cmd_generate(args) -> int:
     g, planted = _load_graph(args)
     if planted is None:
         raise InputError("generate requires --gen")
+    if planted.k != args.k:
+        raise InputError("generator makes %d blocks, --k is %d" % (planted.k, args.k))
     G.write_edge_list(g, args.out)
     part_path = args.out + ".part"
     G.write_partition(planted, part_path)
@@ -257,9 +262,9 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import graph as G
-    from .diagnostics import (CONSTANTS_MAX_VERTICES, INTERCONNECT_MAX_VERTICES,
-                              _record, bruteforce_partition_constants,
-                              inter_connection)
+    from .diagnostics import (CHECK_TOL, CONSTANTS_MAX_VERTICES,
+                              INTERCONNECT_MAX_VERTICES, _record,
+                              bruteforce_partition_constants, inter_connection)
     from .errors import CapacityError
     from .kmeans import best_of_orss, optimal_cost_bruteforce
     from .spectral import exact_embedding, normalized_weighted_pointset
@@ -301,8 +306,8 @@ def cmd_verify(args) -> int:
             upper = 1.0 - 1.0 / (k - 1) if k > 1 else 0.0
             records.append(_record("interconnection_in_range", inter.rho_p, upper, True,
                                    "positivity checked separately"))
-            records.append(_record("interconnection_positive", 1e-12, inter.rho_p, True,
-                                   "asserts rho_p > 0"))
+            records.append(_record("interconnection_positive", 2 * CHECK_TOL, inter.rho_p,
+                                   True, "asserts rho_p > 0"))
             phi_z = [float(f) for f in G.block_conductances(g, inter.witness_tuple)]
             phi_p = [float(f) for f in G.block_conductances(g, inter.witness_partition)]
             for i in range(k):

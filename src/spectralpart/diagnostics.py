@@ -10,10 +10,11 @@ average conductance, inter-connection constant).
 Each inequality is emitted as a CheckRecord carrying the measured left side,
 the bound, a pass flag with absolute tolerance 1e-9, and whether the bound's
 gap precondition held; unmet-precondition records are "not applicable" and
-never count as failures. Gap-dependent bounds are evaluated with the supplied
-reference partition's own average conductance (psi = lambda_{k+1} / avg phi),
-which is exactly the quantity the bounds are proved from, so an applicable
-failing check indicates an implementation bug, not a noisy instance.
+never count as failures. Gap-dependent bounds are evaluated with the
+GapReport of the supplied reference partition, whose psi = lambda_{k+1} /
+(its average conductance) is exactly the quantity the bounds are proved from,
+so an applicable failing check indicates an implementation bug, not a noisy
+instance.
 """
 
 from __future__ import annotations
@@ -133,37 +134,29 @@ def estimation_centers(cm: CoeffMatrices, volumes) -> np.ndarray:
 class GapReport:
     """Spectral-gap summary relative to a reference partition.
 
-    ``psi`` is lambda_{k+1} over the average-conductance proxy and ``upsilon``
-    lambda_{k+1} over the max-conductance proxy; ``psi * rho_avr_proxy =
-    upsilon * phi_proxy = lambda_{k+1}``. For n <= 12 the proxies are the
-    exact brute-force constants (kind "bruteforce-optimal"); otherwise they
-    come from the reference partition itself (kind "planted"), making the
-    reported psi a lower bound for the optimal-partition value. ``delta`` is
-    back-solved from psi = 20^4 k^3 / delta and clamped into (0, 1/2];
-    ``delta_clamped`` records whether the clamp bound.
+    The proxies are the reference partition's own average
+    (``rho_avr_proxy``) and largest (``phi_proxy``) block conductance, the
+    quantities every gap-dependent check is proved from. ``psi`` is
+    lambda_{k+1} over the average and ``upsilon`` lambda_{k+1} over the
+    largest, so ``psi * rho_avr_proxy = upsilon * phi_proxy = lambda_{k+1}``;
+    a zero proxy gives infinity. ``delta`` is back-solved from
+    psi = 20^4 k^3 / delta and clamped to at most 1/2; ``delta_clamped``
+    records whether the clamp bound. The exact small-graph constants are
+    bruteforce_partition_constants' job, not this report's.
     """
 
     k: int
-    lambdas: tuple
     rho_avr_proxy: float
     phi_proxy: float
     psi: float
     upsilon: float
     delta: float
     delta_clamped: bool
-    proxy_kind: str
-
-
-def _solve_delta(psi: float, k: int) -> tuple[float, bool]:
-    if psi == math.inf:
-        return 0.0, False
-    raw = _GAP_SCALE * k ** 3 / psi
-    if raw > 0.5:
-        return 0.5, True
-    return raw, False
 
 
 def gap_report(g: Graph, k: int, reference: Partition, eig: EigenSystem) -> GapReport:
+    """Raises InputError on a block-count mismatch or fewer than k+1
+    eigenvalues, and GapError when lambda_{k+1} < 1e-12."""
     if reference.k != k:
         raise InputError("reference partition has %d blocks, expected %d" % (reference.k, k))
     if eig.n < k + 1:
@@ -171,22 +164,14 @@ def gap_report(g: Graph, k: int, reference: Partition, eig: EigenSystem) -> GapR
     lam_k1 = float(eig.values[k])
     if lam_k1 < 1e-12:
         raise GapError("fewer than k+1 nonzero-gap eigenvalues (lambda_{k+1}=%.3e)" % lam_k1)
-    if g.n <= CONSTANTS_MAX_VERTICES:
-        consts = bruteforce_partition_constants(g, k)
-        rho_avr, phi_max = consts.rho_avr, consts.rho_hat
-        proxy_kind = "bruteforce-optimal"
-    else:
-        phis = block_conductances(g, reference)
-        rho_avr = float(sum(phis) / k)
-        phi_max = float(max(phis))
-        proxy_kind = "planted"
+    phis = block_conductances(g, reference)
+    rho_avr = float(sum(phis) / k)
+    phi_max = float(max(phis))
     psi = lam_k1 / rho_avr if rho_avr > 0 else math.inf
     upsilon = lam_k1 / phi_max if phi_max > 0 else math.inf
-    delta, clamped = _solve_delta(psi, k)
-    return GapReport(k=k, lambdas=tuple(float(v) for v in eig.values[:k + 1]),
-                     rho_avr_proxy=rho_avr, phi_proxy=phi_max, psi=psi,
-                     upsilon=upsilon, delta=delta, delta_clamped=clamped,
-                     proxy_kind=proxy_kind)
+    raw = _GAP_SCALE * k ** 3 / psi
+    return GapReport(k=k, rho_avr_proxy=rho_avr, phi_proxy=phi_max, psi=psi,
+                     upsilon=upsilon, delta=min(raw, 0.5), delta_clamped=raw > 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -457,22 +442,20 @@ def run_theorem_checks(g: Graph, k: int, planted: Partition,
     clustered partition is supplied, matched volume-difference and conductance
     bounds at approximation factor ``alpha``.
 
-    All gap-dependent bounds use psi = lambda_{k+1} / (average conductance of
-    ``planted``), the exact quantity they are proved from for this partition.
-    ``exact``, when given, must be exact_embedding(g, k); passing it saves
-    a second eigensolve.
+    All gap-dependent bounds read psi, delta and delta_clamped from
+    gap_report(g, k, planted, eig), so they use the reference partition's own
+    average conductance, the exact quantity they are proved from; a
+    lambda_{k+1} below 1e-12 raises its GapError. ``exact``, when given, must
+    be exact_embedding(g, k); passing it saves a second eigensolve.
     """
     emb, eig = exact if exact is not None else exact_embedding(g, k)
-    if eig.n < k + 1:
-        raise InputError("need at least k+1 eigenvalues")
+    gap = gap_report(g, k, planted, eig)
+    psi, delta, delta_clamped = gap.psi, gap.delta, gap.delta_clamped
     gbar = characteristic_vectors(g, planted)
     phis = np.array([float(f) for f in block_conductances(g, planted)])
     vols = np.array([volume(g, planted.labels == i) for i in range(k)], dtype=float)
     lam_k1 = float(eig.values[k])
 
-    avg_phi = float(phis.mean())
-    psi = lam_k1 / avg_phi if avg_phi > 0 else math.inf
-    delta, delta_clamped = _solve_delta(psi, k)
     psi_note = "psi=%.6g (reference partition)" % psi
 
     cm = coeff_matrices(eig, gbar, k)
@@ -484,13 +467,13 @@ def run_theorem_checks(g: Graph, k: int, planted: Partition,
     proj = eig.vectors[:, :k] @ cm.indicator_coeffs
     for i in range(k):
         lhs = float(np.sum((gbar[:, i] - proj[:, i]) ** 2))
-        rhs = phis[i] / lam_k1 if lam_k1 > 0 else math.inf
-        records.append(_record("indicator_vs_projection[%d]" % i, lhs, rhs, True))
+        records.append(_record("indicator_vs_projection[%d]" % i, lhs,
+                               phis[i] / lam_k1, True))
 
     # Eigenvectors vs indicator mixes.
     hyp_mix = psi > 4.0 * k ** 1.5
     mix = gbar @ cm.inverse_coeffs
-    rhs_mix = (1.0 + 3.0 * k / psi) * k / psi if psi > 0 else math.inf
+    rhs_mix = (1.0 + 3.0 * k / psi) * k / psi
     for i in range(k):
         lhs = float(np.sum((eig.vectors[:, i] - mix[:, i]) ** 2))
         records.append(_record("eigenvector_vs_indicator_mix[%d]" % i,
@@ -498,7 +481,7 @@ def run_theorem_checks(g: Graph, k: int, planted: Partition,
 
     # Row Gram of the inverse coefficients: near identity.
     hyp_gram = psi >= _ROW_GRAM_SCALE * k ** 3
-    eps_gram = math.sqrt(_ROW_GRAM_SCALE * k ** 3 / psi) if psi > 0 else math.inf
+    eps_gram = math.sqrt(_ROW_GRAM_SCALE * k ** 3 / psi)
     gram = cm.inverse_coeffs @ cm.inverse_coeffs.T
     gram_note = psi_note + "; eps=%.6g" % eps_gram
     for i in range(k):
@@ -511,7 +494,7 @@ def run_theorem_checks(g: Graph, k: int, planted: Partition,
                                    hyp_gram, gram_note))
 
     # Predicted centers give a cheap clustering of the weighted embedding.
-    rhs_cost = (1.0 + 3.0 * k / psi) * k ** 2 / psi if psi > 0 else math.inf
+    rhs_cost = (1.0 + 3.0 * k / psi) * k ** 2 / psi
     planted_cost = 0.0
     for i in range(k):
         mask = planted.labels == i
@@ -527,7 +510,7 @@ def run_theorem_checks(g: Graph, k: int, planted: Partition,
                            hyp_mix, sep_note))
 
     # Cost floor for clustering into k-1 groups.
-    hyp_floor = (not delta_clamped) and psi > 0
+    hyp_floor = not delta_clamped
     delta_prime = 2.0 * delta / _GAP_SCALE
     floor = 1.0 / 12.0 - delta_prime / k
     floor_note = sep_note + ("; delta clamped" if delta_clamped else "")
@@ -539,7 +522,7 @@ def run_theorem_checks(g: Graph, k: int, planted: Partition,
                            hyp_gram, sep_note))
 
     if clustered is not None:
-        hyp_rec = (not delta_clamped) and k >= 3 and psi > 0
+        hyp_rec = (not delta_clamped) and k >= 3
         pi = match_partitions(g, clustered, planted)
         bound_factor = alpha * delta / (_VOLUME_BOUND_SCALE * k)
         rec_note = psi_note + "; alpha=%.3g" % alpha + \

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from spectralpart import cli
+from spectralpart import cli, diagnostics
 from spectralpart.cli import main, parse_gen_spec
 from spectralpart.diagnostics import GapReport
 from spectralpart.errors import InputError
@@ -71,6 +71,15 @@ class TestGenerate:
         assert err["error"]["kind"] == "input"
         assert "ring:k=" in err["error"]["message"]  # grammar listed
 
+    def test_mismatched_k_rejected(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        code = main(["generate", "--gen", "ring:k=3,size=5,b=1", "--k", "7",
+                     "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["kind"] == "input"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCluster:
     def test_exact_mode_recovers_planted(self, tmp_path, capsys):
@@ -79,7 +88,7 @@ class TestCluster:
                      "--mode", "exact", "--seed", "1", "--out", str(out)])
         assert code == 0
         rep = load_report(out)
-        assert rep["schema"] == "spectral-part/3"
+        assert rep["schema"] == "spectral-part/4"
         assert rep["graph"] == {"n": 60, "m": 573}
         assert rep["planted_match"]["relative_sym_diff_volume"] == [0.0, 0.0, 0.0]
 
@@ -189,6 +198,28 @@ class TestDiagnose:
                      "--out", str(edge_file)]) == 0
         assert main(["diagnose", "--input", str(edge_file), "--k", "2"]) == 2
 
+    def test_gap_psi_is_the_checks_psi(self, tmp_path, capsys):
+        # n = 12, and the planted partition is not the optimal one
+        out = tmp_path / "rep.json"
+        main(["diagnose", "--gen", "sbm:sizes=4+4+4,pin=0.8,pout=0.2", "--k", "3",
+              "--seed", "1", "--out", str(out)])
+        rep = load_report(out)
+        psi_notes = [c["note"] for c in rep["checks"] if "psi=" in c["note"]]
+        assert psi_notes
+        for note in psi_notes:
+            assert note.startswith("psi=%.6g " % rep["gap"]["psi"])
+
+    def test_singleton_blocks_input_error(self, tmp_path, capsys):
+        edge_file = tmp_path / "p3.txt"
+        edge_file.write_text("0 1\n1 2\n")
+        part = tmp_path / "p3.part"
+        part.write_text("0 0\n1 1\n2 2\n")
+        code = main(["diagnose", "--input", str(edge_file), "--partition",
+                     str(part), "--k", "3"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["kind"] == "input"
+
     def test_determinism_modulo_timings(self, tmp_path, capsys):
         reps = []
         for name in ("a.json", "b.json"):
@@ -240,6 +271,23 @@ class TestVerify:
         names = [c["name"] for c in rep["checks"]]
         assert "interconnection_in_range" in names
         assert all(c["passed"] for c in rep["checks"] if c["hypothesis_met"])
+
+    def test_interconnection_positive_fails_at_zero(self, tmp_path, capsys,
+                                                    monkeypatch):
+        real = diagnostics.inter_connection
+        monkeypatch.setattr(diagnostics, "inter_connection",
+                            lambda *a, **kw: dataclasses.replace(real(*a, **kw), rho_p=0.0))
+        edge_file = tmp_path / "g.txt"
+        tri = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
+               (6, 7), (6, 8), (7, 8), (0, 9), (3, 9), (6, 9)]
+        edge_file.write_text("".join("%d %d\n" % e for e in tri))
+        out = tmp_path / "rep.json"
+        code = main(["verify", "--input", str(edge_file), "--k", "3",
+                     "--out", str(out)])
+        assert code == 1
+        rep = load_report(out)
+        rec = next(c for c in rep["checks"] if c["name"] == "interconnection_positive")
+        assert rec["hypothesis_met"] and not rec["passed"]
 
     def test_capacity_error(self, tmp_path, capsys):
         edge_file = tmp_path / "big.txt"
@@ -316,6 +364,16 @@ class TestReportContract:
         out = tmp_path / "rep.json"
         assert main(["cluster", "--gen", "ring:k=2,size=4,b=1", "--k", "2",
                      "--seed", "0", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["cluster", "diagnose"])
+def test_gap_needs_no_bruteforce_scan(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute-force scan called")
+
+    monkeypatch.setattr(diagnostics, "bruteforce_partition_constants", refuse)
+    assert main([command, "--gen", "ring:k=4,size=3,b=1", "--k", "4",
+                 "--out", str(tmp_path / "rep.json")]) == 0
 
 
 def test_thread_cap_applied_on_package_import():

@@ -7,7 +7,7 @@ import pytest
 
 from spectralpart import (CapacityError, EigenSystem, GapError, Graph,
                           InputError, Partition, SpanCollapseError,
-                          bruteforce_partition_constants,
+                          block_conductances, bruteforce_partition_constants,
                           characteristic_vectors, coeff_matrices, conductance,
                           estimation_centers, exact_embedding, gap_report,
                           gen_ring_of_cliques, gen_sbm, inter_connection,
@@ -188,22 +188,23 @@ class TestGapReport:
         assert rep.psi == math.inf and rep.upsilon == math.inf
         assert rep.delta == 0.0 and not rep.delta_clamped
 
-    def test_small_graph_uses_bruteforce(self):
+    def test_small_graph_uses_reference(self):
+        # an unbalanced split of a path: its proxies are its own conductances,
+        # not the optimal partition's
         g = path_graph(8)
-        p = Partition(2, [0] * 4 + [1] * 4)
+        p = Partition(2, [0] * 3 + [1] * 5)
         _, eig = exact_embedding(g, 2)
         rep = gap_report(g, 2, p, eig)
-        consts = bruteforce_partition_constants(g, 2)
-        assert rep.proxy_kind == "bruteforce-optimal"
-        assert rep.rho_avr_proxy == pytest.approx(consts.rho_avr)
-        assert rep.phi_proxy == pytest.approx(consts.rho_hat)
+        phis = block_conductances(g, p)
+        assert rep.rho_avr_proxy == float(sum(phis) / 2)
+        assert rep.phi_proxy == float(max(phis))
+        assert rep.phi_proxy > bruteforce_partition_constants(g, 2).rho_hat
 
     def test_consistency_identity(self):
         g, p = gen_ring_of_cliques(3, 20, 1, seed=1)
         _, eig = exact_embedding(g, 3)
         rep = gap_report(g, 3, p, eig)
         lam = float(eig.values[3])
-        assert rep.proxy_kind == "planted"
         assert rep.psi * rep.rho_avr_proxy == pytest.approx(lam, abs=1e-9)
         assert rep.upsilon * rep.phi_proxy == pytest.approx(lam, abs=1e-9)
 
@@ -213,6 +214,8 @@ class TestGapReport:
         _, eig = exact_embedding(g, 2)
         with pytest.raises(GapError):
             gap_report(g, 2, p, eig)  # lambda_3 = 0: three components
+        with pytest.raises(GapError):
+            run_theorem_checks(g, 2, p)
 
     def test_block_count_mismatch(self, two_triangles_bridge):
         g, p = two_triangles_bridge

@@ -232,7 +232,7 @@ class TestMatchPartitions:
             match_partitions(g, p, Partition(3, [0, 0, 1, 1, 2, 2]))
 
     def test_large_k_assignment_path(self):
-        # k = 9 exercises the assignment-solver branch
+        # k = 9: a rotated relabelling of nine blocks is matched back at zero cost
         g, p = disjoint_cliques(9, 3)
         relabel = np.roll(np.arange(9), 4)
         q = Partition(9, relabel[p.labels])
