@@ -10,9 +10,9 @@ relabelling.
 
 import numpy as np
 
-from spectralpart import (Graph, Partition, conductance, cut, gen_ring_of_cliques,
-                          gen_sbm, match_partitions, partition_avg_phi,
-                          partition_phi, sym_diff_volume, volume)
+from spectralpart import (Graph, Partition, block_conductances, conductance, cut,
+                          gen_ring_of_cliques, gen_sbm, match_partitions,
+                          sym_diff_volume, volume)
 
 # Two triangles joined by one bridge edge.
 g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
@@ -23,8 +23,9 @@ print("  cut(left)         =", cut(g, left))
 print("  conductance(left) =", conductance(g, left), "(exact rational)")
 
 planted = Partition(2, [0, 0, 0, 1, 1, 1])
-print("  max block conductance :", partition_phi(g, planted))
-print("  mean block conductance:", partition_avg_phi(g, planted))
+phis = block_conductances(g, planted)
+print("  max block conductance :", float(max(phis)))
+print("  mean block conductance:", float(sum(phis) / planted.k))
 
 # The same instance from the generator (k cliques in a ring, seeded bridges).
 rg, rp = gen_ring_of_cliques(2, 3, 1, seed=0)
@@ -34,7 +35,7 @@ print("\nring_of_cliques(2, 3, 1): n=%d m=%d, phi per block = %s" % (
 # A planted-partition random graph; the partition survives as ground truth.
 sg, sp = gen_sbm([30, 30, 30], p_in=0.5, p_out=0.02, seed=7)
 print("\nsbm([30,30,30], 0.5, 0.02): n=%d m=%d, Phi(planted)=%.4f" % (
-    sg.n, sg.m, partition_phi(sg, sp)))
+    sg.n, sg.m, max(block_conductances(sg, sp))))
 
 # Relabel the blocks and let the matcher recover the permutation.
 relabel = np.array([2, 0, 1])

@@ -1,6 +1,6 @@
-"""Exact small-graph constants by exhaustive enumeration.
+"""Exact small-graph constants from tables over all vertex subsets.
 
-For n <= 12 the order-k constants are computed exactly: the best max
+For n <= 14 the order-k constants are computed exactly: the best max
 conductance over disjoint k-tuples (sets may be omitted), over full k-way
 partitions, and the minimal average conductance among optimal partitions.
 When the tuple optimum beats every partition, the inter-connection constant

@@ -28,9 +28,8 @@ from .errors import (CapacityError, DegenerateError, GapError, InputError,
                      NumericError, SpanCollapseError, SpectralPartError)
 from .graph import (Graph, Partition, block_conductances, conductance, cut,
                     gen_ring_of_cliques, gen_sbm, match_partitions,
-                    partition_avg_phi, partition_phi, read_edge_list,
-                    read_partition, sym_diff_volume, volume, write_edge_list,
-                    write_partition)
+                    read_edge_list, read_partition, sym_diff_volume, volume,
+                    write_edge_list, write_partition)
 from .kmeans import (Clustering, SeparationEstimate, WeightedPoints,
                      best_of_orss, cost, lloyd_step, optimal_cost_bruteforce,
                      orss_kmeans, separation_ratio)
@@ -52,9 +51,9 @@ __all__ = [
     "CapacityError", "DegenerateError", "GapError", "InputError",
     "NumericError", "SpanCollapseError", "SpectralPartError",
     "Graph", "Partition", "block_conductances", "conductance", "cut",
-    "gen_ring_of_cliques", "gen_sbm", "match_partitions", "partition_avg_phi",
-    "partition_phi", "read_edge_list", "read_partition", "sym_diff_volume",
-    "volume", "write_edge_list", "write_partition",
+    "gen_ring_of_cliques", "gen_sbm", "match_partitions", "read_edge_list",
+    "read_partition", "sym_diff_volume", "volume", "write_edge_list",
+    "write_partition",
     "Clustering", "SeparationEstimate", "WeightedPoints", "best_of_orss",
     "cost", "lloyd_step", "optimal_cost_bruteforce", "orss_kmeans",
     "separation_ratio",

@@ -3,9 +3,10 @@
 Every guarantee the pipeline leans on is made measurable here: closeness of
 degree-weighted block indicators to their eigenspace projections, near-
 orthonormality of the change-of-basis rows, predicted k-means centers and
-costs, the cost floor for merging below k clusters, and the small-graph
-brute-force constants (best disjoint k-tuple, best k-way partition, minimal
-average conductance, inter-connection constant).
+costs, the cost floor for merging below k clusters, and the exact
+small-graph constants (best disjoint k-tuple, best k-way partition, minimal
+average conductance, inter-connection constant), read from tables over all
+vertex subsets.
 
 Each inequality is emitted as a CheckRecord carrying the measured left side,
 the bound, a pass flag with absolute tolerance 1e-9, and whether the bound's
@@ -38,7 +39,7 @@ CHECK_TOL = 1e-9
 #: Smallest singular value of the indicator-coefficient matrix we accept.
 SPAN_CONDITION_TOL = 1e-8
 #: Brute-force capacity bounds.
-CONSTANTS_MAX_VERTICES = 12
+CONSTANTS_MAX_VERTICES = 14
 INTERCONNECT_MAX_VERTICES = 10
 #: Largest number of partition completions inter_connection enumerates.
 INTERCONNECT_MAX_WORK = 20_000_000
@@ -175,8 +176,64 @@ def gap_report(g: Graph, k: int, reference: Partition, eig: EigenSystem) -> GapR
 
 
 # ---------------------------------------------------------------------------
-# Brute-force constants (n <= 12)
+# Exact constants from tables over all 2^n vertex subsets (n <= 14)
 # ---------------------------------------------------------------------------
+
+#: Slack on float sums of at most n conductances (each in [0, 1]) before the
+#: exact recheck; their rounding error is below 1e-13.
+_SUM_TOL = 1e-9
+
+
+def _subset_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``(cut, vol)`` of every vertex subset, indexed by bitmask (bit v set
+    iff vertex v is in the subset), as integer arrays of length 2^n."""
+    bits = (np.arange(1 << g.n)[:, None] >> np.arange(g.n)) & 1
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    return (bits[:, u] ^ bits[:, v]).sum(axis=1), bits @ g.degrees
+
+
+def _splits(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every split of a nonempty vertex subset S into the block T that holds
+    S's lowest vertex and the rest S - T, grouped by the size c of S.
+
+    Entry c - 1 is ``(s, t)``: the subsets of size c in ascending order, and
+    an int32 matrix whose row i lists the 2^(c-1) blocks T of s[i], the
+    lowest vertex joined by each subset of the other c - 1 (a bit j of the
+    column index takes the j-th of them). (3^n - 1) / 2 splits in all.
+    """
+    masks = np.arange(1 << n, dtype=np.int32)
+    size = ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    out = []
+    for c in range(1, n + 1):
+        s = masks[size == c]
+        low = s & -s
+        others = np.nonzero(((s ^ low)[:, None] >> np.arange(n)) & 1)[1]
+        others = others.astype(np.int32).reshape(len(s), c - 1)
+        col = np.arange(1 << (c - 1), dtype=np.int32)
+        t = np.repeat(low[:, None], len(col), axis=1)
+        for j in range(c - 1):
+            t |= ((col >> j) & 1) << others[:, j:j + 1]
+        out.append((s, t))
+    return out
+
+
+def _min_over_splits(splits, value) -> np.ndarray:
+    """Per subset S, the minimum of ``value(t, r)`` over S's splits (t, r);
+    infinity for the empty set."""
+    out = np.full(1 << len(splits), np.inf)
+    for s, t in splits:
+        out[s] = value(t, s[:, None] ^ t).min(axis=1)
+    return out
+
+
+def _subset_min(a: np.ndarray, n: int) -> np.ndarray:
+    """``out[S]`` = min of ``a`` over the subsets of S."""
+    out = a.copy()
+    for b in range(n):
+        halves = out.reshape(-1, 2, 1 << b)
+        np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    return out
+
 
 @dataclass(frozen=True)
 class PartitionConstants:
@@ -188,7 +245,7 @@ class PartitionConstants:
     are exact Fraction equality. Exact Fractions ride along for downstream
     exact comparisons. ``optimal_tuples`` lists every k-tuple achieving rho
     as a canonical labelling (blocks numbered in order of first use, -1 for
-    an uncovered vertex), in scan order.
+    an uncovered vertex), sorted lexicographically (-1 < 0 < 1 < ...).
     """
 
     rho: float
@@ -201,75 +258,95 @@ class PartitionConstants:
 
 
 def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
-    """One scan over canonical labellings with skips (first-use block order;
-    -1 = uncovered), keeping per-block cut and volume incrementally. Every
-    leaf is a k-tuple; a leaf that covers the whole volume is a partition.
-    Conductances are compared by integer cross-multiplication."""
+    """Exact constants by dynamic programming over all 2^n vertex subsets.
+
+    Conductances phi = cut / vol are floats: they are rationals with
+    denominators at most 2m, so distinct ones are at least 1/(2m)^2 apart
+    and correctly rounded division keeps their order and equalities; min,
+    max and ties on phi are exact, and a subset attaining a value gives back
+    its Fraction. ``part[j][S]`` is the least worst-block conductance over
+    partitions of S into j nonempty blocks, a minimum over the splits of S
+    (the block T holding S's lowest vertex, then part[j-1] of the rest).
+    rho_hat is part[k] of all vertices, and rho the minimum of part[k] over
+    all subsets, since a k-tuple partitions its union. rho_avr minimizes the
+    float sum over blocks with phi <= rho_hat, then rechecks every split
+    within _SUM_TOL of a subproblem's minimum with exact Fractions. Work is
+    O(k 3^n) in numpy; optimal_tuples backtracks over the blocks with
+    phi <= rho, visiting only partial tuples that complete.
+    """
     if g.n > CONSTANTS_MAX_VERTICES:
         raise CapacityError("brute-force constants support n <= %d (got %d)"
                             % (CONSTANTS_MAX_VERTICES, g.n))
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
-    n = g.n
-    deg = g.degrees.tolist()
-    lower = [[u for u in g.neighbors(v).tolist() if u < v] for v in range(n)]
-    total_vol = sum(deg)
-    labels = [-1] * n
-    cut = [0] * k
-    vol = [0] * k
+    n, full = g.n, (1 << g.n) - 1
+    cut, vol = _subset_tables(g)
+    phi = np.full(full + 1, np.inf)
+    np.divide(cut, vol, out=phi, where=vol > 0)
+    splits = _splits(n)
+
+    def exact(value) -> Fraction:
+        s = int(np.argmax(phi == value))
+        return Fraction(int(cut[s]), int(vol[s]))
+
+    part = [np.full(full + 1, np.inf)]
+    part[0][0] = -np.inf  # only the empty set splits into 0 blocks
+    for _ in range(k):
+        prev = part[-1]
+        part.append(_min_over_splits(splits, lambda t, r: np.maximum(phi[t], prev[r])))
+    rho_hat = part[k][full]
+    rho = part[k].min()
+
+    # Least float conductance sum over partitions of S into j blocks with
+    # phi <= rho_hat, each of which has worst block exactly rho_hat.
+    capped = np.where(phi <= rho_hat, phi, np.inf)
+    best_sum = [np.full(full + 1, np.inf)]
+    best_sum[0][0] = 0.0
+    for _ in range(k):
+        prev = best_sum[-1]
+        best_sum.append(_min_over_splits(splits, lambda t, r: capped[t] + prev[r]))
+    exact_sums: dict[tuple[int, int], Fraction] = {}
+
+    def exact_sum(s: int, j: int) -> Fraction:
+        if j == 0:
+            return Fraction(0)
+        if (s, j) not in exact_sums:
+            subsets, blocks = splits[s.bit_count() - 1]
+            t = blocks[np.searchsorted(subsets, s)]
+            r = s ^ t
+            near = capped[t] + best_sum[j - 1][r] <= best_sum[j][s] + _SUM_TOL
+            exact_sums[s, j] = min(
+                Fraction(int(cut[b]), int(vol[b])) + exact_sum(rest, j - 1)
+                for b, rest in zip(t[near].tolist(), r[near].tolist()))
+        return exact_sums[s, j]
+
+    rho_avr = exact_sum(full, k) / k
+
+    # fits[j][S] <= rho iff S holds j disjoint blocks with phi <= rho.
+    fits = [_subset_min(p, n) for p in part[:k]]
+    family = np.flatnonzero(phi <= rho)
     tuples: list[tuple[int, ...]] = []
-    # Worst-block conductance of the best tuple and partition so far, as
-    # (numerator, denominator); avg_best is the partitions' tie-breaker.
-    rho_num = rho_den = hat_num = hat_den = avg_best = None
 
-    def on_leaf():
-        nonlocal rho_num, rho_den, hat_num, hat_den, avg_best
-        bn, bd = cut[0], vol[0]
-        for b in range(1, k):
-            if cut[b] * bd > bn * vol[b]:
-                bn, bd = cut[b], vol[b]
-        if rho_num is None or bn * rho_den < rho_num * bd:
-            rho_num, rho_den = bn, bd
-            tuples.clear()
+    def extend(avail: int, j: int, blocks: list[int]):
+        if j == 0:
+            labels = [-1] * n
+            for i, b in enumerate(blocks):
+                for v in range(n):
+                    if b >> v & 1:
+                        labels[v] = i
             tuples.append(tuple(labels))
-        elif bn * rho_den == rho_num * bd:
-            tuples.append(tuple(labels))
-        if sum(vol) != total_vol:
             return
-        if hat_num is None or bn * hat_den < hat_num * bd:
-            hat_num, hat_den = bn, bd
-            avg_best = sum(Fraction(cut[b], vol[b]) for b in range(k)) / k
-        elif bn * hat_den == hat_num * bd:
-            avg_best = min(avg_best, sum(Fraction(cut[b], vol[b]) for b in range(k)) / k)
+        for b in family[(family & ~avail) == 0].tolist():
+            # Later blocks start above this block's lowest vertex.
+            rest = avail & ~b & ~((b & -b) * 2 - 1)
+            if fits[j - 1][rest] <= rho:
+                extend(rest, j - 1, blocks + [b])
 
-    def rec(v, used):
-        if n - v < k - used:
-            return
-        if v == n:
-            on_leaf()
-            return
-        rec(v + 1, used)
-        d = deg[v]
-        inside = [0] * k  # edges from v to labelled earlier vertices, per block
-        for u in lower[v]:
-            if labels[u] >= 0:
-                inside[labels[u]] += 1
-        for b in range(min(used + 1, k)):
-            dcut = d - 2 * inside[b]
-            vol[b] += d
-            cut[b] += dcut
-            labels[v] = b
-            rec(v + 1, used + (b == used))
-            vol[b] -= d
-            cut[b] -= dcut
-        labels[v] = -1
-
-    rec(0, 0)
-    rho = Fraction(rho_num, rho_den)
-    rho_hat = Fraction(hat_num, hat_den)
+    extend(full, k, [])
+    tuples.sort()
     return PartitionConstants(rho=float(rho), rho_hat=float(rho_hat),
-                              rho_avr=float(avg_best), rho_exact=rho,
-                              rho_hat_exact=rho_hat, rho_avr_exact=avg_best,
+                              rho_avr=float(rho_avr), rho_exact=exact(rho),
+                              rho_hat_exact=exact(rho_hat), rho_avr_exact=rho_avr,
                               optimal_tuples=tuple(tuples))
 
 
@@ -300,51 +377,34 @@ class InterConnection:
     witness_tuple: Partition | None = None
 
 
-def _phi_ic_exact(edges, deg, part_labels, tuple_labels, k):
+def _phi_ic_exact(cut, vol, blocks, cores):
     """Exact inter-connection objective and average conductance of a
     compatible (partition, tuple) pair, as ``(phi_ic, avg)``.
 
-    Returns None when every non-core part is empty (the pair carries no
+    ``blocks`` and ``cores`` are the bitmasks of P_i and Z_i, and ``cut`` and
+    ``vol`` the subset tables. S_i = P_i - Z_i's boundary excess, its edges
+    leaving P_i minus its edges into Z_i, is cut(P_i) - cut(Z_i), relative to
+    cut(P_i). Returns None when every S_i is empty (the pair carries no
     constraint). A zero boundary denominator can only occur with a
     nonpositive numerator and is treated as 0 (empty constraint) or -inf.
     """
-    in_core = [t >= 0 for t in tuple_labels]
-    has_s = [False] * k
-    vol_p = [0] * k
-    for v, b in enumerate(part_labels):
-        vol_p[b] += deg[v]
-        if not in_core[v]:
-            has_s[b] = True
-    if not any(has_s):
-        return None
-    cut_p = [0] * k
-    s_out = [0] * k
-    s_core = [0] * k
-    for u, v in edges:
-        pu, pv = part_labels[u], part_labels[v]
-        if pu != pv:
-            cut_p[pu] += 1
-            cut_p[pv] += 1
-            if not in_core[u]:
-                s_out[pu] += 1
-            if not in_core[v]:
-                s_out[pv] += 1
-        else:
-            if in_core[u] != in_core[v]:
-                s_core[pu] += 1
     best = None
-    for i in range(k):
-        if not has_s[i]:
+    has_s = False
+    for p, z in zip(blocks, cores):
+        if p == z:
             continue
-        num = s_out[i] - s_core[i]
-        if cut_p[i] == 0:
+        has_s = True
+        num = cut[p] - cut[z]
+        if cut[p] == 0:
             ratio = Fraction(0) if num == 0 else None  # None stands for -inf
         else:
-            ratio = Fraction(num, cut_p[i])
+            ratio = Fraction(num, cut[p])
         if ratio is not None and (best is None or ratio > best):
             best = ratio
+    if not has_s:
+        return None
     phi_ic = best if best is not None else Fraction(-10 ** 9, 1)
-    return phi_ic, sum(Fraction(cut_p[i], vol_p[i]) for i in range(k)) / k
+    return phi_ic, sum(Fraction(cut[p], vol[p]) for p in blocks) / len(blocks)
 
 
 def inter_connection(g: Graph, k: int,
@@ -352,10 +412,11 @@ def inter_connection(g: Graph, k: int,
     """Exhaustive inter-connection constant for n <= 10.
 
     Reads the optimal disjoint k-tuples from the constants' optimal_tuples
-    and enumerates all their compatible partition completions; raises
+    and enumerates all their compatible partition completions, in
+    itertools.product order, scoring each from the subset tables; raises
     CapacityError if that product exceeds INTERCONNECT_MAX_WORK assignments.
     ``constants``, when given, must be bruteforce_partition_constants(g, k);
-    passing it saves that scan.
+    passing it saves that computation.
     """
     if g.n > INTERCONNECT_MAX_VERTICES:
         raise CapacityError("inter-connection supports n <= %d (got %d)"
@@ -371,23 +432,28 @@ def inter_connection(g: Graph, k: int,
     if work > INTERCONNECT_MAX_WORK:
         raise CapacityError("inter-connection enumeration too large (%d assignments)" % work)
 
-    edges = g.edges.tolist()
-    deg = g.degrees.tolist()
-    best = None  # ((phi_ic, avg_phi), part_labels, tuple_labels)
+    cut, vol = (table.tolist() for table in _subset_tables(g))
+    best = None  # ((phi_ic, avg_phi), tuple_labels, free, combo)
     for tup in tuples:
+        cores = [0] * k
+        for v, b in enumerate(tup):
+            if b >= 0:
+                cores[b] |= 1 << v
         free = [v for v in range(g.n) if tup[v] < 0]
         for combo in itertools.product(range(k), repeat=len(free)):
-            part = list(tup)
+            blocks = cores.copy()
             for v, b in zip(free, combo):
-                part[v] = b
-            scored = _phi_ic_exact(edges, deg, part, tup, k)
+                blocks[b] |= 1 << v
+            scored = _phi_ic_exact(cut, vol, blocks, cores)
             if scored is not None and (best is None or scored < best[0]):
-                best = (scored, tuple(part), tup)
+                best = (scored, tup, free, combo)
 
     if best is None:
         return InterConnection(degenerate=True, rho=consts.rho, rho_hat=consts.rho_hat)
-    (rho_p, avg), part_labels, tuple_labels = best
-    witness_p = Partition(k, np.asarray(part_labels))
+    (rho_p, avg), tuple_labels, free, combo = best
+    part_labels = np.array(tuple_labels)
+    part_labels[free] = combo
+    witness_p = Partition(k, part_labels)
     witness_z = Partition(k, np.asarray(tuple_labels), allow_uncovered=True)
     return InterConnection(
         degenerate=False, rho=consts.rho, rho_hat=consts.rho_hat,

@@ -2,8 +2,7 @@
 
 Graphs are unweighted, have no self-loops or multi-edges, and reject isolated
 vertices (degree 0 breaks the degree-normalized embedding downstream). Cut and
-volume are exact integers; conductance is returned as an exact Fraction and
-only converted to binary float at aggregate APIs (partition_phi and friends).
+volume are exact integers; conductance is returned as an exact Fraction.
 """
 
 from __future__ import annotations
@@ -116,9 +115,6 @@ class Partition:
         """Vertex ids of block i."""
         return np.flatnonzero(self.labels == i)
 
-    def blocks(self) -> list[np.ndarray]:
-        return [self.block(i) for i in range(self.k)]
-
     def __repr__(self):
         return "Partition(k=%d, n=%d%s)" % (
             self.k, self.n, ", tuple-mode" if self.allow_uncovered else "")
@@ -169,17 +165,6 @@ def block_conductances(g: Graph, p: Partition) -> list[Fraction]:
     """Exact conductance of each block of p."""
     _check_partition(g, p)
     return [conductance(g, p.labels == i) for i in range(p.k)]
-
-
-def partition_phi(g: Graph, p: Partition) -> float:
-    """Largest block conductance of p."""
-    return float(max(block_conductances(g, p)))
-
-
-def partition_avg_phi(g: Graph, p: Partition) -> float:
-    """Mean block conductance of p."""
-    phis = block_conductances(g, p)
-    return float(sum(phis) / p.k)
 
 
 def sym_diff_volume(g: Graph, a, b) -> int:

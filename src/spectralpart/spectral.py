@@ -11,6 +11,8 @@ I + D^{-1/2} A D^{-1/2}; every eigen-consumer reads it. Two embedding routes
 are built on top: the exact embedding takes the k lowest of those
 eigenvectors, and the power iteration on I + D^{-1/2} A D^{-1/2}, with a QR
 after every matvec, approximates the same subspace using only sparse matvecs.
+scipy is imported inside the code that uses it, so importing the package
+loads only numpy.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import GapError, InputError, NumericError
 from .graph import Graph
@@ -41,9 +41,11 @@ class LaplacianOps:
     """
 
     def __init__(self, graph: Graph):
+        from scipy.sparse import csr_array
+
         self.graph = graph
         self._inv_sqrt_d = 1.0 / np.sqrt(graph.degrees.astype(float))
-        self._adj = sparse.csr_array(
+        self._adj = csr_array(
             (np.ones(len(graph.indices)), graph.indices, graph.indptr),
             shape=(graph.n, graph.n))
 
@@ -136,6 +138,8 @@ def spectrum(g: Graph, k: int) -> EigenSystem:
         values = full.values[:pairs].copy()
         vectors = full.vectors[:, :pairs].copy()
     else:
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
         shifted = LinearOperator((n, n), matvec=ops.apply_shifted,
                                  matmat=ops.apply_shifted, dtype=float)
         v0 = rng_stream(0, "spectral", "spectrum").standard_normal(n)

@@ -18,6 +18,16 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def ring_of_cliques(sizes):
+    """Cliques of the given sizes in a ring, one bridge per gap from the last
+    vertex of each clique to the first vertex of the next."""
+    starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    edges = [(a + i, a + j) for a, s in zip(starts, sizes)
+             for i in range(s) for j in range(i + 1, s)]
+    edges += [(starts[c + 1] - 1, starts[(c + 1) % len(sizes)]) for c in range(len(sizes))]
+    return Graph(starts[-1], edges)
+
+
 def dense_laplacian(g: Graph) -> np.ndarray:
     """Dense normalized Laplacian I - D^{-1/2} A D^{-1/2}, built from the edge
     list alone so it can serve as an independent oracle."""

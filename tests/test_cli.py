@@ -11,6 +11,7 @@ from spectralpart import cli, diagnostics
 from spectralpart.cli import main, parse_gen_spec
 from spectralpart.diagnostics import GapReport
 from spectralpart.errors import InputError
+from conftest import ring_of_cliques
 
 
 def run_cli(args, capsys=None):
@@ -289,6 +290,17 @@ class TestVerify:
         rec = next(c for c in rep["checks"] if c["name"] == "interconnection_positive")
         assert rec["hypothesis_met"] and not rec["passed"]
 
+    def test_fourteen_vertex_ring(self, tmp_path, capsys):
+        edges = ring_of_cliques([4, 4, 3, 3]).edges.tolist()
+        edge_file = tmp_path / "ring14.txt"
+        edge_file.write_text("".join("%d %d\n" % tuple(e) for e in edges))
+        out = tmp_path / "rep.json"
+        assert main(["verify", "--input", str(edge_file), "--k", "4",
+                     "--out", str(out)]) == 0
+        rep = load_report(out)
+        assert rep["constants"]["rho"] == rep["constants"]["rho_hat"] == 0.25
+        assert rep["interconnection"] is None
+
     def test_capacity_error(self, tmp_path, capsys):
         edge_file = tmp_path / "big.txt"
         edge_file.write_text("".join("%d %d\n" % (i, i + 1) for i in range(19)))
@@ -387,3 +399,14 @@ def test_thread_cap_applied_on_package_import():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "3"
+
+
+def test_package_import_loads_no_scipy():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; import spectralpart, spectralpart.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spectralpart import diagnostics
 from spectralpart import (CapacityError, EigenSystem, GapError, Graph,
                           InputError, Partition, SpanCollapseError,
                           block_conductances, bruteforce_partition_constants,
@@ -12,8 +13,9 @@ from spectralpart import (CapacityError, EigenSystem, GapError, Graph,
                           estimation_centers, exact_embedding, gap_report,
                           gen_ring_of_cliques, gen_sbm, inter_connection,
                           run_theorem_checks, volume)
-from conftest import (complete_graph, dense_laplacian, disjoint_cliques,
-                      path_graph, random_connected_graph)
+from conftest import (complete_graph, cycle_graph, dense_laplacian,
+                      disjoint_cliques, path_graph, random_connected_graph,
+                      ring_of_cliques)
 
 
 def triangles_with_center():
@@ -247,7 +249,7 @@ class TestBruteforceConstants:
             done += 1
 
     def test_capacity(self):
-        g = path_graph(13)
+        g = path_graph(15)
         with pytest.raises(CapacityError):
             bruteforce_partition_constants(g, 2)
 
@@ -264,6 +266,66 @@ class TestBruteforceConstants:
                    set(consts.optimal_tuples))
             assert got == oracle_constants(g, k)
             assert len(set(consts.optimal_tuples)) == len(consts.optimal_tuples)
+
+
+def planted_ten():
+    """Blocks {0,1,2}, {3,4,5}, {6,7}, {8,9}, one edge between consecutive
+    blocks and one chord."""
+    return Graph(10, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7), (8, 9),
+                      (2, 3), (5, 6), (7, 8), (9, 0), (1, 4)])
+
+
+#: (graph, k, (rho, rho_hat, rho_avr), optimal_tuples, inter-connection) as
+#: computed by the recursive labelling scan; the inter-connection entry is
+#: None above INTERCONNECT_MAX_VERTICES, else (degenerate, rho_p, kappa,
+#: witness partition, witness tuple).
+PARITY_PINS = {
+    "hub10": (triangles_with_center, 3,
+              (Fraction(1, 7), Fraction(1, 5), Fraction(17, 105)),
+              ((0, 0, 0, 1, 1, 1, 2, 2, 2, -1),),
+              (False, Fraction(1, 2), 2.0, [0, 0, 0, 1, 1, 1, 2, 2, 2, 0],
+               [0, 0, 0, 1, 1, 1, 2, 2, 2, -1])),
+    "planted10": (planted_ten, 4,
+                  (Fraction(1, 2), Fraction(1, 2), Fraction(5, 12)),
+                  ((0, 0, 0, 1, 1, 1, 2, 2, 3, 3),),
+                  (True, None, None, None, None)),
+    "ring11": (lambda: ring_of_cliques([4, 4, 3]), 3,
+               (Fraction(1, 4), Fraction(1, 4), Fraction(5, 28)),
+               ((0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2),), None),
+    "ring9": (lambda: ring_of_cliques([3, 3, 3]), 3,
+              (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)),
+              ((0, 0, 0, 1, 1, 1, 2, 2, 2),),
+              (True, None, None, None, None)),
+    "ring12": (lambda: ring_of_cliques([3, 3, 3, 3]), 4,
+               (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)),
+               ((0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3),), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_PINS))
+def test_constants_parity_pins(name):
+    make, k, exact, tuples, inter = PARITY_PINS[name]
+    g = make()
+    consts = bruteforce_partition_constants(g, k)
+    assert (consts.rho_exact, consts.rho_hat_exact, consts.rho_avr_exact) == exact
+    assert (consts.rho, consts.rho_hat, consts.rho_avr) == tuple(map(float, exact))
+    assert consts.optimal_tuples == tuples
+    if inter is None:
+        return
+    got = inter_connection(g, k, constants=consts)
+    witnesses = [None if w is None else w.labels.tolist()
+                 for w in (got.witness_partition, got.witness_tuple)]
+    assert (got.degenerate, got.rho_p_exact, got.kappa, *witnesses) == inter
+
+
+@pytest.mark.parametrize("g, k", [(path_graph(9), 3), (cycle_graph(8), 2),
+                                  (complete_graph(6), 3)])
+def test_optimal_tuples_in_labelling_order(g, k):
+    """Tuples come out in lexicographic labelling order with -1 first, the
+    order inter_connection's first-best witness depends on."""
+    consts = bruteforce_partition_constants(g, k)
+    assert len(consts.optimal_tuples) > 1
+    assert list(consts.optimal_tuples) == sorted(oracle_constants(g, k)[3])
 
 
 class TestInterConnection:
@@ -285,6 +347,26 @@ class TestInterConnection:
             assert phi_p[i] <= kappa * phi_z[i]
         assert sum(phi_p) / 3 <= kappa / 3 * sum(phi_z)
         assert inter.rho_avr_tilde == pytest.approx(float(sum(phi_p) / 3))
+
+    def test_objective_rules(self, two_triangles_bridge):
+        """The has-S rule and the zero-denominator rule of the objective."""
+        def score(g, blocks, cores):
+            def mask(vs):
+                return sum(1 << v for v in vs)
+            cut, vol = (t.tolist() for t in diagnostics._subset_tables(g))
+            return diagnostics._phi_ic_exact(cut, vol, [mask(b) for b in blocks],
+                                             [mask(z) for z in cores])
+
+        g, _ = two_triangles_bridge
+        # No block gains a vertex: the pair carries no constraint.
+        assert score(g, [[0, 1, 2], [3, 4, 5]], [[0, 1, 2], [3, 4, 5]]) is None
+        # Only blocks with a nonempty S count: block 1's (1 - 3) / 1, not block 0's 0.
+        assert score(g, [[0, 1, 2], [3, 4, 5]], [[0, 1, 2], [3, 4]])[0] == -2
+        cliques, _ = disjoint_cliques(3, 3)
+        # cut(P) = 0: ratio 0 when cut(Z) = 0 too, else -inf (no ratio at all).
+        assert score(cliques, [range(6), range(6, 9)], [range(3), range(6, 9)]) == (0, 0)
+        assert score(cliques, [range(3), range(3, 9)], [range(3), [3, 4, 6, 7, 8]])[0] \
+            == Fraction(-10 ** 9)
 
     def test_degenerate_marker(self, two_triangles_bridge):
         g, _ = two_triangles_bridge

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectralpart import (Graph, InputError, Partition, conductance, cut,
-                          gen_ring_of_cliques, gen_sbm, match_partitions,
-                          partition_avg_phi, partition_phi, read_edge_list,
-                          read_partition, sym_diff_volume, volume,
-                          write_edge_list, write_partition)
+from spectralpart import (Graph, InputError, Partition, block_conductances,
+                          conductance, cut, gen_ring_of_cliques, gen_sbm,
+                          match_partitions, read_edge_list, read_partition,
+                          sym_diff_volume, volume, write_edge_list,
+                          write_partition)
 from conftest import complete_graph, disjoint_cliques, random_connected_graph
 
 
@@ -118,18 +118,15 @@ class TestConductance:
 class TestPartitionPhi:
     def test_disjoint_triangles(self):
         g, p = disjoint_cliques(2, 3)
-        assert partition_phi(g, p) == 0.0
-        assert partition_avg_phi(g, p) == 0.0
+        assert block_conductances(g, p) == [0, 0]
 
     def test_two_triangles_bridge(self, two_triangles_bridge):
         g, p = two_triangles_bridge
-        assert partition_phi(g, p) == pytest.approx(1 / 7)
-        assert partition_avg_phi(g, p) == pytest.approx(1 / 7)
+        assert block_conductances(g, p) == [Fraction(1, 7), Fraction(1, 7)]
 
     def test_k4_singleton_split(self, k4):
         p = Partition(2, [0, 1, 1, 1])
-        assert partition_phi(k4, p) == pytest.approx(1.0)  # max(3/3, 3/9)
-        assert partition_avg_phi(k4, p) == pytest.approx((1 + 1 / 3) / 2)
+        assert block_conductances(k4, p) == [1, Fraction(3, 9)]
 
 
 class TestSymDiffVolume:
@@ -278,7 +275,7 @@ class TestRingOfCliques:
 class TestSBM:
     def test_disjoint_cliques_case(self):
         g, p = gen_sbm([4, 4], 1.0, 0.0, seed=0)
-        assert partition_phi(g, p) == 0.0
+        assert max(block_conductances(g, p)) == 0
         assert g.m == 12
 
     def test_complete_graph_case(self):
@@ -287,7 +284,7 @@ class TestSBM:
 
     def test_planted_quality(self):
         g, p = gen_sbm([50, 50], 0.5, 0.01, seed=7)
-        assert partition_phi(g, p) < 0.1
+        assert max(block_conductances(g, p)) < 0.1
 
     def test_no_isolated_vertices_many_seeds(self):
         for seed in range(1000):
