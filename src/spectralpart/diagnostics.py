@@ -41,6 +41,8 @@ SPAN_CONDITION_TOL = 1e-8
 #: Brute-force capacity bounds.
 CONSTANTS_MAX_VERTICES = 14
 INTERCONNECT_MAX_VERTICES = 10
+#: Largest number of optimal k-tuples the brute-force constants list.
+OPTIMAL_TUPLES_MAX = 100_000
 #: Largest number of partition completions inter_connection enumerates.
 INTERCONNECT_MAX_WORK = 20_000_000
 
@@ -272,7 +274,8 @@ def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
     float sum over blocks with phi <= rho_hat, then rechecks every split
     within _SUM_TOL of a subproblem's minimum with exact Fractions. Work is
     O(k 3^n) in numpy; optimal_tuples backtracks over the blocks with
-    phi <= rho, visiting only partial tuples that complete.
+    phi <= rho, visiting only partial tuples that complete, and raises
+    CapacityError past OPTIMAL_TUPLES_MAX tuples.
     """
     if g.n > CONSTANTS_MAX_VERTICES:
         raise CapacityError("brute-force constants support n <= %d (got %d)"
@@ -329,6 +332,8 @@ def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
 
     def extend(avail: int, j: int, blocks: list[int]):
         if j == 0:
+            if len(tuples) == OPTIMAL_TUPLES_MAX:
+                raise CapacityError("more than %d optimal k-tuples" % OPTIMAL_TUPLES_MAX)
             labels = [-1] * n
             for i, b in enumerate(blocks):
                 for v in range(n):

@@ -3,10 +3,19 @@
 Graphs are unweighted, have no self-loops or multi-edges, and reject isolated
 vertices (degree 0 breaks the degree-normalized embedding downstream). Cut and
 volume are exact integers; conductance is returned as an exact Fraction.
+
+The text readers parse with numpy's C parser (``np.loadtxt``) and check the
+rows with array operations. Only a file that numpy refuses, or one that fails
+a check, goes through the line-by-line reader, which reports the first bad
+line by number and also reads what numpy does not (``1_0``, non-ASCII
+digits). The writers format rows in fixed-size chunks. Ids must lie below
+2^63, and ``Graph`` rejects n > 2m before allocating anything of size n,
+so a huge id in a small file costs no memory.
 """
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,26 +49,38 @@ class Graph:
         hi = e.max(axis=1)
         if np.any(lo == hi):
             raise InputError("self-loops are not allowed")
-        canon = np.stack([lo, hi], axis=1)
-        canon = canon[np.lexsort((canon[:, 1], canon[:, 0]))]
-        if len(canon) > 1 and np.any(np.all(canon[1:] == canon[:-1], axis=1)):
+        m = len(e)
+        base = n
+        if n > 2 * m:
+            # Some vertex is isolated. Rank the ids so that neither the keys
+            # below nor any array is sized by n, which the file does not bound.
+            ids = np.unique(e)
+            base, lo, hi = len(ids), np.searchsorted(ids, lo), np.searchsorted(ids, hi)
+        # One int64 key per edge: sorting it orders the edges and puts
+        # duplicates side by side.
+        key = np.sort(lo * base + hi)
+        if np.any(key[1:] == key[:-1]):
             raise InputError("duplicate edges are not allowed")
+        if base < n:
+            # ids[i] == i holds on a prefix, whose length is the lowest missing id.
+            bad = int(np.count_nonzero(ids == np.arange(base)))
+            raise InputError("isolated vertices are not allowed (vertex %d)" % bad)
+        canon = np.stack(np.divmod(key, n), axis=1)
         degrees = np.bincount(canon.ravel(), minlength=n)
         if np.any(degrees == 0):
             bad = int(np.flatnonzero(degrees == 0)[0])
             raise InputError("isolated vertices are not allowed (vertex %d)" % bad)
 
-        src = np.concatenate([canon[:, 0], canon[:, 1]])
-        dst = np.concatenate([canon[:, 1], canon[:, 0]])
-        order = np.lexsort((dst, src))
-        indices = dst[order]
+        # Arc keys src * n + dst of both directions, sorted: the CSR order.
+        arcs = np.sort(np.concatenate([key, canon[:, 1] * n + canon[:, 0]]))
+        indices = arcs % n
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
 
         for arr in (canon, degrees, indices, indptr):
             arr.flags.writeable = False
         self.n = int(n)
-        self.m = int(len(canon))
+        self.m = m
         self.edges = canon
         self.degrees = degrees
         self.indices = indices
@@ -98,8 +119,10 @@ class Partition:
         floor = -1 if allow_uncovered else 0
         if lab.min() < floor or lab.max() >= k:
             raise InputError("block index out of range")
-        counts = np.bincount(lab[lab >= 0], minlength=k)
-        if np.any(counts == 0):
+        covered = lab[lab >= 0]
+        # More blocks than covered labels leaves one empty; checked before a
+        # bincount of length k, which the input does not bound.
+        if k > len(covered) or np.any(np.bincount(covered, minlength=k) == 0):
             raise InputError("every block must be nonempty")
         lab = lab.copy()
         lab.flags.writeable = False
@@ -220,10 +243,8 @@ def gen_ring_of_cliques(k: int, clique_size: int, bridges_per_gap: int,
         raise InputError("bridges_per_gap must be in [0, clique_size^2]")
     rng = rng_stream(seed, "graph", "ring_of_cliques")
     s = clique_size
-    edges = []
-    for c in range(k):
-        base = c * s
-        edges.extend((base + i, base + j) for i in range(s) for j in range(i + 1, s))
+    clique = np.stack(np.triu_indices(s, k=1), axis=1)
+    edges = [clique + c * s for c in range(k)]
     gaps = [(0, 1)] if k == 2 else [(i, (i + 1) % k) for i in range(k)]
     for ca, cb in gaps:
         chosen = set()
@@ -232,9 +253,9 @@ def gen_ring_of_cliques(k: int, clique_size: int, bridges_per_gap: int,
             v = int(rng.integers(0, s))
             if (u, v) not in chosen:
                 chosen.add((u, v))
-        edges.extend((ca * s + u, cb * s + v) for u, v in sorted(chosen))
+        edges.append(np.array(list(chosen), dtype=np.int64).reshape(-1, 2) + (ca * s, cb * s))
     labels = np.repeat(np.arange(k), s)
-    return Graph(k * s, edges), Partition(k, labels)
+    return Graph(k * s, np.concatenate(edges)), Partition(k, labels)
 
 
 def gen_sbm(sizes: Sequence[int], p_in: float, p_out: float,
@@ -291,13 +312,54 @@ def gen_sbm(sizes: Sequence[int], p_in: float, p_out: float,
 # Edge-list and partition file formats
 # ---------------------------------------------------------------------------
 
+#: Ids at or above 2^63 do not fit the int64 arrays they are stored in.
+_ID_LIMIT = 2 ** 63
+#: Rows formatted per string by the writers, which bounds their memory.
+_WRITE_CHUNK = 65536
+
+
+def _load_int_pairs(path) -> np.ndarray | None:
+    """The file's rows as an (r, 2) int64 array, parsed by numpy's C parser.
+
+    Returns None where numpy refuses the file or it has no row or not two
+    columns; the callers' line loops then report the error with its line
+    number, or parse what numpy does not (``1_0``, non-ASCII digits).
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+    except (OSError, ValueError):  # the line loop's open() raises the usual OSError
+        return None
+    return rows if rows.shape[1] == 2 and len(rows) else None
+
+
+def _write_pairs(path, rows: np.ndarray):
+    """Write the rows of an (r, 2) integer array as ``a b`` lines."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(rows), _WRITE_CHUNK):
+            chunk = rows[start:start + _WRITE_CHUNK]
+            fh.write(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def read_edge_list(path) -> Graph:
     """Parse the text edge-list format: one ``u v`` pair per line.
 
-    Vertex ids are 0-based integers; ``#`` starts a comment; blank lines are
-    skipped. Duplicate or reversed-duplicate pairs and self-loops are rejected
-    with the offending line number. n is the largest id + 1.
+    Vertex ids are 0-based integers below 2^63; ``#`` starts a comment; blank
+    lines are skipped. Duplicate or reversed-duplicate pairs and self-loops
+    are rejected with the offending line number. n is the largest id + 1.
     """
+    rows = _load_int_pairs(path)
+    if rows is not None:
+        try:
+            return Graph(int(rows.max()) + 1, rows)
+        except InputError:
+            pass  # the line loop names the offending line
+    return _read_edge_lines(path)
+
+
+def _read_edge_lines(path) -> Graph:
+    """read_edge_list one line at a time, with line-numbered errors."""
     edges = []
     seen: dict[tuple[int, int], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -314,6 +376,8 @@ def read_edge_list(path) -> Graph:
                 raise InputError("%s:%d: vertex ids must be integers" % (path, lineno))
             if u < 0 or v < 0:
                 raise InputError("%s:%d: negative vertex id" % (path, lineno))
+            if u >= _ID_LIMIT or v >= _ID_LIMIT:
+                raise InputError("%s:%d: vertex id out of range" % (path, lineno))
             if u == v:
                 raise InputError("%s:%d: self-loop" % (path, lineno))
             key = (min(u, v), max(u, v))
@@ -329,9 +393,7 @@ def read_edge_list(path) -> Graph:
 
 def write_edge_list(g: Graph, path):
     """Write the canonical sorted edge list (u < v per line)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v in g.edges:
-            fh.write("%d %d\n" % (u, v))
+    _write_pairs(path, g.edges)
 
 
 def read_partition(path, n: int) -> Partition:
@@ -341,6 +403,19 @@ def read_partition(path, n: int) -> Partition:
     k is the largest block id + 1. Overlapping assignments (a vertex listed
     twice) are rejected with the line number.
     """
+    rows = _load_int_pairs(path)
+    if rows is not None and len(rows) == n:
+        v, b = rows[:, 0], rows[:, 1]
+        if v.min() >= 0 and v.max() < n and b.min() >= 0:
+            labels = np.full(n, -1, dtype=np.int64)
+            labels[v] = b
+            if labels.min() >= 0:  # n rows cover all n vertices: each once
+                return Partition(int(b.max()) + 1, labels)
+    return _read_partition_lines(path, n)
+
+
+def _read_partition_lines(path, n: int) -> Partition:
+    """read_partition one line at a time, with line-numbered errors."""
     labels = np.full(n, -1, dtype=np.int64)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -358,6 +433,8 @@ def read_partition(path, n: int) -> Partition:
                 raise InputError("%s:%d: vertex %d out of range" % (path, lineno, v))
             if b < 0:
                 raise InputError("%s:%d: negative block id" % (path, lineno))
+            if b >= _ID_LIMIT:
+                raise InputError("%s:%d: block id out of range" % (path, lineno))
             if labels[v] != -1:
                 raise InputError("%s:%d: vertex %d assigned twice (overlapping blocks)"
                                  % (path, lineno, v))
@@ -370,7 +447,5 @@ def read_partition(path, n: int) -> Partition:
 
 def write_partition(p: Partition, path):
     """Write one ``vertex block`` pair per line (uncovered vertices skipped)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for v, b in enumerate(p.labels):
-            if b >= 0:
-                fh.write("%d %d\n" % (v, b))
+    covered = np.flatnonzero(p.labels >= 0)
+    _write_pairs(path, np.stack([covered, p.labels[covered]], axis=1))

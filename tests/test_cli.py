@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -63,6 +64,22 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.txt.part").read_bytes() == \
             (tmp_path / "b.txt.part").read_bytes()
+
+    @pytest.mark.parametrize("spec, edges_sha, part_sha", [
+        ("ring:k=3,size=5,b=2",
+         "e72286e54e56e0d20786f37a799e4ead47aa6588d3430ad391d87d84d66281bc",
+         "67b690b881c3042819ee108e4d625d836ce58db359c25e3060d03e358b36d09d"),
+        ("sbm:sizes=6+5+4,pin=0.7,pout=0.1",
+         "9c139a184228e72019943dce204eb3c88da6805e646899dfad9d9ebeb88d9050",
+         "e38df1a210959a16b78b594d063b4fb26f8d24d9f3c8cd8261a407cbc8ac89fc"),
+    ])
+    def test_pinned_bytes(self, tmp_path, capsys, spec, edges_sha, part_sha):
+        out = tmp_path / "g.txt"
+        assert main(["generate", "--gen", spec, "--k", "3", "--seed", "42",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == edges_sha
+        part = tmp_path / "g.txt.part"
+        assert hashlib.sha256(part.read_bytes()).hexdigest() == part_sha
 
     def test_invalid_spec_usage_error(self, tmp_path, capsys):
         code = main(["generate", "--gen", "ring:k=2", "--k", "2",
@@ -147,6 +164,23 @@ class TestCluster:
         code = main(["cluster", "--input", str(edge_file), "--k", "3",
                      "--mode", "power", "--seed", "0"])
         assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["kind"] == "input"
+
+    @pytest.mark.parametrize("command, edges, part", [
+        ("cluster", "0 1\n1 2\n0 99999999999999999999\n", None),
+        ("cluster", "0 1\n1 2\n0 1000000000000\n", None),
+        ("diagnose", "0 1\n1 2\n0 99999999999999999999\n", "0 0\n1 0\n2 1\n"),
+        ("diagnose", "0 1\n1 2\n0 2\n", "0 0\n1 0\n2 99999999999999999999\n"),
+        ("diagnose", "0 1\n1 2\n0 2\n", "0 0\n1 0\n2 1000000000000\n"),
+    ])
+    def test_huge_ids_are_input_errors(self, tmp_path, capsys, command, edges, part):
+        (tmp_path / "g.txt").write_text(edges)
+        args = [command, "--input", str(tmp_path / "g.txt"), "--k", "2"]
+        if part is not None:
+            (tmp_path / "g.part").write_text(part)
+            args += ["--partition", str(tmp_path / "g.part")]
+        assert main(args) == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["kind"] == "input"
 
@@ -256,6 +290,14 @@ class TestVerify:
         rep = load_report(out)
         rec = next(c for c in rep["checks"] if c["name"] == "eigenvalue_halved_lower")
         assert rec["passed"]
+
+    def test_too_many_optimal_tuples_is_capacity_error(self, tmp_path, capsys):
+        edge_file = tmp_path / "k14.txt"
+        edge_file.write_text("".join("%d %d\n" % (u, v) for u in range(14)
+                                     for v in range(u + 1, 14)))
+        assert main(["verify", "--input", str(edge_file), "--k", "4"]) == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["kind"] == "capacity"
 
     def test_interconnection_witness_in_report(self, tmp_path, capsys):
         edge_file = tmp_path / "g.txt"

@@ -253,6 +253,12 @@ class TestBruteforceConstants:
         with pytest.raises(CapacityError):
             bruteforce_partition_constants(g, 2)
 
+    def test_optimal_tuples_capacity(self):
+        # On K14 at k = 4 every partition into blocks of at least 3 vertices
+        # ties: 5.8M optimal tuples, which took 110 s and 1.1 GB uncapped.
+        with pytest.raises(CapacityError, match="optimal k-tuples"):
+            bruteforce_partition_constants(complete_graph(14), 4)
+
     def test_matches_labelling_oracle(self):
         rng = np.random.default_rng(7)
         cases = [(triangles_with_center(), 3)]  # the only one with rho < rho_hat

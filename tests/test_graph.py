@@ -45,6 +45,18 @@ class TestGraphConstruction:
         with pytest.raises(InputError):
             Graph(3, [(0, 3)])
 
+    def test_huge_n_rejected_before_allocating(self):
+        # bincount(minlength=n) or zeros(n + 1) at these n fails at once, so
+        # reaching either would raise something other than InputError.
+        with pytest.raises(InputError, match=r"isolated vertices are not allowed \(vertex 2\)"):
+            Graph(2 ** 62, [(0, 1)])
+        with pytest.raises(InputError, match=r"isolated vertices are not allowed \(vertex 1\)"):
+            Graph(2 ** 62, [(0, 2), (2, 2 ** 62 - 1)])
+
+    def test_duplicate_found_before_isolated_when_n_is_huge(self):
+        with pytest.raises(InputError, match="duplicate"):
+            Graph(2 ** 62, [(0, 2 ** 61), (2 ** 61, 0)])
+
     def test_edges_canonical_sorted(self):
         g = Graph(3, [(2, 1), (1, 0), (2, 0)])
         assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
@@ -63,6 +75,10 @@ class TestPartition:
     def test_rejects_uncovered_without_flag(self):
         with pytest.raises(InputError):
             Partition(2, [0, -1, 1])
+
+    def test_huge_k_rejected_before_allocating(self):
+        with pytest.raises(InputError, match="nonempty"):
+            Partition(2 ** 62, [0, 1])
 
     def test_tuple_mode(self):
         p = Partition(2, [0, -1, 1], allow_uncovered=True)
@@ -329,6 +345,18 @@ class TestEdgeListFormat:
         with pytest.raises(InputError, match=":2"):
             read_edge_list(path)
 
+    def test_id_beyond_int64_reports_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n0 99999999999999999999\n")
+        with pytest.raises(InputError, match=":2: vertex id out of range"):
+            read_edge_list(path)
+
+    def test_huge_id_is_isolated_vertex_not_allocation(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1000000000000\n")
+        with pytest.raises(InputError, match=r"isolated vertices are not allowed \(vertex 1\)"):
+            read_edge_list(path)
+
     def test_writer_canonical(self, tmp_path):
         g = Graph(3, [(2, 0), (1, 0), (2, 1)])
         path = tmp_path / "g.txt"
@@ -348,6 +376,15 @@ class TestPartitionFormat:
         path = tmp_path / "p.txt"
         path.write_text("0 0\n1 1\n0 1\n")
         with pytest.raises(InputError, match=":3"):
+            read_partition(path, 2)
+
+    def test_huge_block_ids(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("0 99999999999999999999\n1 0\n")
+        with pytest.raises(InputError, match=":1: block id out of range"):
+            read_partition(path, 2)
+        path.write_text("0 1000000000000\n1 0\n")
+        with pytest.raises(InputError, match="nonempty"):
             read_partition(path, 2)
 
     def test_missing_vertex_rejected(self, tmp_path):
