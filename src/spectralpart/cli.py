@@ -25,6 +25,15 @@ import math
 import sys
 import time
 
+import numpy as np
+
+from . import diagnostics as D
+from . import graph as G
+from . import spectral as S
+from .diagnostics import CHECK_TOL, INTERCONNECT_MAX_VERTICES, _record
+from .errors import CapacityError, InputError, NumericError
+from .kmeans import DEFAULT_RESTARTS, best_of_orss, optimal_cost_bruteforce
+
 SCHEMA = "spectral-part/4"
 
 _EXIT_CHECK_FAILED = 1
@@ -38,8 +47,6 @@ def _jsonable(value):
     Non-finite floats become the strings "inf" / "-inf" / "nan" so reports
     stay strictly parseable.
     """
-    import numpy as np
-
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -75,8 +82,6 @@ def parse_gen_spec(spec: str):
       ring:k=<int>,size=<int>,b=<int>
       sbm:sizes=<int>+<int>[+...],pin=<float>,pout=<float>
     """
-    from .errors import InputError
-
     usage = parse_gen_spec.__doc__.split("Grammar:")[1].strip()
     head, _, rest = spec.partition(":")
     fields = {}
@@ -96,21 +101,22 @@ def parse_gen_spec(spec: str):
     raise InputError("unknown generator %r; grammar:\n%s" % (head, usage))
 
 
-def _load_graph(args):
-    from . import graph as G
+def _read_file(read, path, *args):
+    """``read(path, *args)``, with an unreadable or non-UTF-8 file an InputError."""
+    try:
+        return read(path, *args)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError("%s: cannot read: %s" % (path, exc)) from exc
 
+
+def _load_graph(args):
     if args.gen:
         spec = parse_gen_spec(args.gen)
-        if spec[0] == "ring":
-            g, planted = G.gen_ring_of_cliques(spec[1], spec[2], spec[3], args.seed)
-        else:
-            g, planted = G.gen_sbm(spec[1], spec[2], spec[3], args.seed)
-        return g, planted
-    g = G.read_edge_list(args.input)
-    planted = None
-    if getattr(args, "partition", None):
-        planted = G.read_partition(args.partition, g.n)
-    return g, planted
+        generate = G.gen_ring_of_cliques if spec[0] == "ring" else G.gen_sbm
+        return generate(*spec[1:], args.seed)
+    g = _read_file(G.read_edge_list, args.input)
+    partition = getattr(args, "partition", None)
+    return g, (_read_file(G.read_partition, partition, g.n) if partition else None)
 
 
 def _config_echo(args):
@@ -122,8 +128,6 @@ def _graph_stats(g):
 
 
 def _clustering_section(g, part):
-    from . import graph as G
-
     blocks = []
     for i in range(part.k):
         mask = part.labels == i
@@ -141,12 +145,6 @@ def _failed_applicable(records) -> bool:
 
 
 def cmd_cluster(args) -> int:
-    from . import graph as G
-    from . import spectral as S
-    from .diagnostics import gap_report
-    from .errors import InputError
-    from .kmeans import best_of_orss
-
     timings = {}
     t0 = time.perf_counter()
     g, planted = _load_graph(args)
@@ -182,7 +180,7 @@ def cmd_cluster(args) -> int:
     report["power"] = power_info
     t0 = time.perf_counter()
     reference = planted if planted is not None else result
-    report["gap"] = dataclasses.asdict(gap_report(g, args.k, reference, eig))
+    report["gap"] = dataclasses.asdict(D.gap_report(g, args.k, reference, eig))
     report["gap"]["reference"] = "planted" if planted is not None else "recovered"
     timings["gap"] = time.perf_counter() - t0
 
@@ -206,10 +204,6 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    from .diagnostics import gap_report, run_theorem_checks
-    from .errors import InputError
-    from .spectral import exact_embedding
-
     timings = {}
     t0 = time.perf_counter()
     g, planted = _load_graph(args)
@@ -221,9 +215,9 @@ def cmd_diagnose(args) -> int:
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    emb, eig = exact_embedding(g, args.k)
-    records = run_theorem_checks(g, args.k, planted, seed=args.seed, exact=(emb, eig))
-    gap = gap_report(g, args.k, planted, eig)
+    emb, eig = S.exact_embedding(g, args.k)
+    records = D.run_theorem_checks(g, args.k, planted, seed=args.seed, exact=(emb, eig))
+    gap = D.gap_report(g, args.k, planted, eig)
     timings["checks"] = time.perf_counter() - t0
 
     report = {
@@ -239,9 +233,6 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from . import graph as G
-    from .errors import InputError
-
     if not args.out:
         raise InputError("generate requires --out (edge list path; partition gets .part)")
     g, planted = _load_graph(args)
@@ -261,50 +252,35 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import graph as G
-    from .diagnostics import (CHECK_TOL, CONSTANTS_MAX_VERTICES,
-                              INTERCONNECT_MAX_VERTICES, _record,
-                              bruteforce_partition_constants, inter_connection)
-    from .errors import CapacityError
-    from .kmeans import best_of_orss, optimal_cost_bruteforce
-    from .spectral import exact_embedding, normalized_weighted_pointset
-
     timings = {}
     t0 = time.perf_counter()
     g, _ = _load_graph(args)
-    if g.n > CONSTANTS_MAX_VERTICES:
-        raise CapacityError("verify supports n <= %d (got %d)"
-                            % (CONSTANTS_MAX_VERTICES, g.n))
     k = args.k
     records = []
 
-    consts = bruteforce_partition_constants(g, k)
+    consts = D.bruteforce_partition_constants(g, k)
     records.append(_record("tuple_constant_vs_partition_constant",
                            consts.rho, consts.rho_hat, True))
     records.append(_record("partition_constant_upper",
                            consts.rho_hat, k * consts.rho, True))
-    emb, eig = exact_embedding(g, k)
+    emb, eig = S.exact_embedding(g, k)
     records.append(_record("eigenvalue_halved_lower",
                            float(eig.values[k - 1]) / 2.0, consts.rho, True))
     timings["constants"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     inter_section = None
-    if g.n <= INTERCONNECT_MAX_VERTICES and k >= 2:
-        inter = inter_connection(g, k, constants=consts)
-        if inter.degenerate:
-            inter_section = {"degenerate": True, "rho": inter.rho,
-                             "rho_hat": inter.rho_hat}
-        else:
-            inter_section = {
-                "degenerate": False, "rho": inter.rho, "rho_hat": inter.rho_hat,
-                "rho_p": inter.rho_p, "kappa": inter.kappa,
-                "rho_avr_tilde": inter.rho_avr_tilde,
-                "witness_partition": inter.witness_partition.labels.tolist(),
-                "witness_tuple": inter.witness_tuple.labels.tolist(),
-            }
-            upper = 1.0 - 1.0 / (k - 1) if k > 1 else 0.0
-            records.append(_record("interconnection_in_range", inter.rho_p, upper, True,
+    if g.n <= INTERCONNECT_MAX_VERTICES:
+        inter = D.inter_connection(g, k, constants=consts)
+        inter_section = {"degenerate": inter.degenerate, "rho": inter.rho,
+                         "rho_hat": inter.rho_hat}
+        if not inter.degenerate:
+            inter_section.update(
+                rho_p=inter.rho_p, kappa=inter.kappa, rho_avr_tilde=inter.rho_avr_tilde,
+                witness_partition=inter.witness_partition.labels.tolist(),
+                witness_tuple=inter.witness_tuple.labels.tolist())
+            records.append(_record("interconnection_in_range", inter.rho_p,
+                                   1.0 - 1.0 / (k - 1), True,
                                    "positivity checked separately"))
             records.append(_record("interconnection_positive", 2 * CHECK_TOL, inter.rho_p,
                                    True, "asserts rho_p > 0"))
@@ -319,7 +295,7 @@ def cmd_verify(args) -> int:
     timings["interconnection"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pts = normalized_weighted_pointset(emb)
+    pts = S.normalized_weighted_pointset(emb)
     oracle, _ = optimal_cost_bruteforce(pts, k)
     heur = best_of_orss(pts, k, args.seed, args.restarts)
     records.append(_record("kmeans_oracle_lower", oracle, heur.cost, True))
@@ -341,8 +317,6 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .kmeans import DEFAULT_RESTARTS
-
     parser = argparse.ArgumentParser(
         prog="spectral-part",
         description="Spectral graph clustering with structural diagnostics")
@@ -387,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .errors import CapacityError, InputError, NumericError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -31,15 +31,14 @@ from .errors import CapacityError, GapError, InputError, NumericError, SpanColla
 from .graph import (Graph, Partition, block_conductances, match_partitions,
                     sym_diff_volume, volume)
 from .kmeans import separation_ratio
-from .linalg import EigenSystem
+from .linalg import BRUTEFORCE_MAX_N, EigenSystem, _min_over_splits, _split_blocks, _splits
 from .spectral import Embedding, exact_embedding, normalized_weighted_pointset
 
 #: Absolute slack added on top of every bound before calling a check failed.
 CHECK_TOL = 1e-9
 #: Smallest singular value of the indicator-coefficient matrix we accept.
 SPAN_CONDITION_TOL = 1e-8
-#: Brute-force capacity bounds.
-CONSTANTS_MAX_VERTICES = 14
+#: Inter-connection brute-force capacity bound.
 INTERCONNECT_MAX_VERTICES = 10
 #: Largest number of optimal k-tuples the brute-force constants list.
 OPTIMAL_TUPLES_MAX = 100_000
@@ -194,40 +193,6 @@ def _subset_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return (bits[:, u] ^ bits[:, v]).sum(axis=1), bits @ g.degrees
 
 
-def _splits(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every split of a nonempty vertex subset S into the block T that holds
-    S's lowest vertex and the rest S - T, grouped by the size c of S.
-
-    Entry c - 1 is ``(s, t)``: the subsets of size c in ascending order, and
-    an int32 matrix whose row i lists the 2^(c-1) blocks T of s[i], the
-    lowest vertex joined by each subset of the other c - 1 (a bit j of the
-    column index takes the j-th of them). (3^n - 1) / 2 splits in all.
-    """
-    masks = np.arange(1 << n, dtype=np.int32)
-    size = ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1)
-    out = []
-    for c in range(1, n + 1):
-        s = masks[size == c]
-        low = s & -s
-        others = np.nonzero(((s ^ low)[:, None] >> np.arange(n)) & 1)[1]
-        others = others.astype(np.int32).reshape(len(s), c - 1)
-        col = np.arange(1 << (c - 1), dtype=np.int32)
-        t = np.repeat(low[:, None], len(col), axis=1)
-        for j in range(c - 1):
-            t |= ((col >> j) & 1) << others[:, j:j + 1]
-        out.append((s, t))
-    return out
-
-
-def _min_over_splits(splits, value) -> np.ndarray:
-    """Per subset S, the minimum of ``value(t, r)`` over S's splits (t, r);
-    infinity for the empty set."""
-    out = np.full(1 << len(splits), np.inf)
-    for s, t in splits:
-        out[s] = value(t, s[:, None] ^ t).min(axis=1)
-    return out
-
-
 def _subset_min(a: np.ndarray, n: int) -> np.ndarray:
     """``out[S]`` = min of ``a`` over the subsets of S."""
     out = a.copy()
@@ -277,9 +242,9 @@ def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
     phi <= rho, visiting only partial tuples that complete, and raises
     CapacityError past OPTIMAL_TUPLES_MAX tuples.
     """
-    if g.n > CONSTANTS_MAX_VERTICES:
+    if g.n > BRUTEFORCE_MAX_N:
         raise CapacityError("brute-force constants support n <= %d (got %d)"
-                            % (CONSTANTS_MAX_VERTICES, g.n))
+                            % (BRUTEFORCE_MAX_N, g.n))
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
     n, full = g.n, (1 << g.n) - 1
@@ -314,8 +279,7 @@ def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
         if j == 0:
             return Fraction(0)
         if (s, j) not in exact_sums:
-            subsets, blocks = splits[s.bit_count() - 1]
-            t = blocks[np.searchsorted(subsets, s)]
+            t = _split_blocks(splits, s)
             r = s ^ t
             near = capped[t] + best_sum[j - 1][r] <= best_sum[j][s] + _SUM_TOL
             exact_sums[s, j] = min(

@@ -342,6 +342,24 @@ def _write_pairs(path, rows: np.ndarray):
             fh.write(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
+def _int_pair_lines(path, fields: str, ids: str):
+    """``(lineno, a, b)`` per line of ``path`` not blank without its ``#``
+    comment; InputError where it is not two integers, named by the strings."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise InputError("%s:%d: expected '%s'" % (path, lineno, fields))
+            try:
+                a, b = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise InputError("%s:%d: %s must be integers" % (path, lineno, ids))
+            yield lineno, a, b
+
+
 def read_edge_list(path) -> Graph:
     """Parse the text edge-list format: one ``u v`` pair per line.
 
@@ -362,29 +380,18 @@ def _read_edge_lines(path) -> Graph:
     """read_edge_list one line at a time, with line-numbered errors."""
     edges = []
     seen: dict[tuple[int, int], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise InputError("%s:%d: expected 'u v'" % (path, lineno))
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InputError("%s:%d: vertex ids must be integers" % (path, lineno))
-            if u < 0 or v < 0:
-                raise InputError("%s:%d: negative vertex id" % (path, lineno))
-            if u >= _ID_LIMIT or v >= _ID_LIMIT:
-                raise InputError("%s:%d: vertex id out of range" % (path, lineno))
-            if u == v:
-                raise InputError("%s:%d: self-loop" % (path, lineno))
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise InputError("%s:%d: duplicate of line %d" % (path, lineno, seen[key]))
-            seen[key] = lineno
-            edges.append(key)
+    for lineno, u, v in _int_pair_lines(path, "u v", "vertex ids"):
+        if u < 0 or v < 0:
+            raise InputError("%s:%d: negative vertex id" % (path, lineno))
+        if u >= _ID_LIMIT or v >= _ID_LIMIT:
+            raise InputError("%s:%d: vertex id out of range" % (path, lineno))
+        if u == v:
+            raise InputError("%s:%d: self-loop" % (path, lineno))
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise InputError("%s:%d: duplicate of line %d" % (path, lineno, seen[key]))
+        seen[key] = lineno
+        edges.append(key)
     if not edges:
         raise InputError("%s: no edges" % path)
     n = max(max(e) for e in edges) + 1
@@ -417,28 +424,17 @@ def read_partition(path, n: int) -> Partition:
 def _read_partition_lines(path, n: int) -> Partition:
     """read_partition one line at a time, with line-numbered errors."""
     labels = np.full(n, -1, dtype=np.int64)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise InputError("%s:%d: expected 'vertex block'" % (path, lineno))
-            try:
-                v, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InputError("%s:%d: ids must be integers" % (path, lineno))
-            if v < 0 or v >= n:
-                raise InputError("%s:%d: vertex %d out of range" % (path, lineno, v))
-            if b < 0:
-                raise InputError("%s:%d: negative block id" % (path, lineno))
-            if b >= _ID_LIMIT:
-                raise InputError("%s:%d: block id out of range" % (path, lineno))
-            if labels[v] != -1:
-                raise InputError("%s:%d: vertex %d assigned twice (overlapping blocks)"
-                                 % (path, lineno, v))
-            labels[v] = b
+    for lineno, v, b in _int_pair_lines(path, "vertex block", "ids"):
+        if v < 0 or v >= n:
+            raise InputError("%s:%d: vertex %d out of range" % (path, lineno, v))
+        if b < 0:
+            raise InputError("%s:%d: negative block id" % (path, lineno))
+        if b >= _ID_LIMIT:
+            raise InputError("%s:%d: block id out of range" % (path, lineno))
+        if labels[v] != -1:
+            raise InputError("%s:%d: vertex %d assigned twice (overlapping blocks)"
+                             % (path, lineno, v))
+        labels[v] = b
     if np.any(labels < 0):
         missing = int(np.flatnonzero(labels < 0)[0])
         raise InputError("%s: vertex %d has no block" % (path, missing))

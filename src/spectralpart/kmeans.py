@@ -1,4 +1,4 @@
-"""Degree-weighted k-means: cost, an exact brute-force oracle, and a seeded
+"""Degree-weighted k-means: cost, an exact subset-DP oracle, and a seeded
 separation-aware heuristic (pairwise-cost seeding, a ball-restricted center
 refinement, then Lloyd assignment to a fixed point).
 
@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DegenerateError, InputError
-from .linalg import rng_stream
+from .linalg import BRUTEFORCE_MAX_N, _min_over_splits, _split_blocks, _splits, rng_stream
 
-#: Brute-force enumeration bound.
-BRUTEFORCE_MAX_POINTS = 14
 #: Radius factor of the ball-restricted center refinement step.
 BALL_RADIUS_FACTOR = 1.0 / 3.0
 #: Restart count used by estimate routines when brute force is unavailable.
@@ -202,11 +200,14 @@ def best_of_orss(pts: WeightedPoints, k: int, seed: int,
 
 
 def optimal_cost_bruteforce(pts: WeightedPoints, k: int) -> tuple[float, Clustering]:
-    """Exact optimal k-means cost by enumerating set partitions.
+    """Exact optimal k-means cost by dynamic programming over point subsets.
 
-    Supports n <= 14 (or k = 1 / k >= n in closed form). Enumeration is over
-    partitions into exactly min(k, n) nonempty blocks in canonical first-use
-    order, with branch-and-bound pruning on the (monotone) partial cost.
+    Supports n <= BRUTEFORCE_MAX_N (or k = 1 / k >= n in closed form). The
+    DP of bruteforce_partition_constants, O(k 3^n) work whatever the points,
+    scores a subset as one cluster by sq - |sum|^2 / w from its weight,
+    weighted-sum and weighted-square-norm tables (+inf when empty). The
+    first minimizing split of each backtracking step gives the clusters in
+    canonical first-use order; centers and cost are recomputed from them.
     """
     n, dim = pts.n, pts.dim
     w = pts.weights
@@ -223,57 +224,37 @@ def optimal_cost_bruteforce(pts: WeightedPoints, k: int) -> tuple[float, Cluster
         c = float(np.sum(w * np.einsum("ij,ij->i", diffs, diffs)))
         return c, Clustering(labels=np.zeros(n, dtype=np.int64),
                              centers=center[None, :], cost=c)
-    if n > BRUTEFORCE_MAX_POINTS:
+    if n > BRUTEFORCE_MAX_N:
         raise CapacityError("brute force supports n <= %d (got %d)"
-                            % (BRUTEFORCE_MAX_POINTS, n))
+                            % (BRUTEFORCE_MAX_N, n))
 
-    wx = w[:, None] * x
-    wsq = w * np.einsum("ij,ij->i", x, x)
+    # Columns w, w x, w |x|^2 summed over each subset, one point at a time.
+    point_rows = np.column_stack([w, w[:, None] * x, w * np.einsum("ij,ij->i", x, x)])
+    tab = np.zeros((1 << n, dim + 2))
+    for v in range(n):
+        tab[1 << v:2 << v] = tab[:1 << v] + point_rows[v]
+    sums = tab[1:, 1:-1]
+    block = np.full(1 << n, np.inf)
+    block[1:] = tab[1:, -1] - np.einsum("ij,ij->i", sums, sums) / tab[1:, 0]
 
-    labels = np.zeros(n, dtype=np.int64)
-    blk_w = [0.0] * k
-    blk_sum = [np.zeros(dim) for _ in range(k)]
-    blk_sq = [0.0] * k
-    blk_cost = [0.0] * k
-    best = {"cost": math.inf, "labels": None}
+    splits = _splits(n)
+    part = [np.full(1 << n, np.inf), block]
+    part[0][0] = 0.0  # only the empty set splits into 0 clusters
+    for _ in range(2, k):
+        prev = part[-1]
+        part.append(_min_over_splits(splits, lambda t, r: block[t] + prev[r]))
+    labels = np.empty(n, dtype=np.int64)
+    rest = (1 << n) - 1
+    for b in range(k):
+        t = _split_blocks(splits, rest)
+        t = int(t[np.argmin(block[t] + part[k - 1 - b][rest ^ t])])
+        labels[((t >> np.arange(n)) & 1).astype(bool)] = b
+        rest ^= t
 
-    def block_cost(b) -> float:
-        if blk_w[b] <= 0:
-            return 0.0
-        return blk_sq[b] - float(blk_sum[b] @ blk_sum[b]) / blk_w[b]
-
-    def recurse(i: int, used: int, total: float):
-        if total > best["cost"] + 1e-12:
-            return
-        if used + (n - i) < k:
-            return
-        if i == n:
-            if total < best["cost"]:
-                best["cost"] = total
-                best["labels"] = labels.copy()
-            return
-        top = min(used + 1, k)
-        for b in range(top):
-            old_cost = blk_cost[b]
-            old_sum = blk_sum[b].copy()
-            blk_w[b] += w[i]
-            blk_sum[b] += wx[i]
-            blk_sq[b] += wsq[i]
-            blk_cost[b] = block_cost(b)
-            labels[i] = b
-            recurse(i + 1, used + (1 if b == used else 0),
-                    total + blk_cost[b] - old_cost)
-            blk_w[b] -= w[i]
-            blk_sum[b] = old_sum
-            blk_sq[b] -= wsq[i]
-            blk_cost[b] = old_cost
-
-    recurse(0, 0, 0.0)
-    lab = best["labels"]
-    centers = _weighted_means(pts, lab, k, np.zeros((k, dim)))
-    diffs = x - centers[lab]
+    centers = _weighted_means(pts, labels, k, np.zeros((k, dim)))
+    diffs = x - centers[labels]
     exact = max(0.0, float(np.sum(w * np.einsum("ij,ij->i", diffs, diffs))))
-    return exact, Clustering(labels=lab, centers=centers, cost=exact)
+    return exact, Clustering(labels=labels, centers=centers, cost=exact)
 
 
 @dataclass(frozen=True)

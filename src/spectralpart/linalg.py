@@ -1,9 +1,11 @@
-"""Dense symmetric eigendecomposition and seeded Gaussian sampling.
+"""Dense symmetric eigendecomposition, seeded Gaussian sampling, and the
+split tables of the subset dynamic program.
 
 Numerics are delegated to LAPACK through numpy; this module pins down the
 deterministic conventions everything downstream relies on: ascending
 eigenvalue order, a fixed eigenvector sign rule, and counter-based random
-streams that are replayable per (module, purpose).
+streams that are replayable per (module, purpose). Both exact oracles share
+its min-over-splits engine over all 2^n subsets.
 
 Tolerances used across the package live here as constants.
 """
@@ -23,6 +25,8 @@ SYMMETRY_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-9
 #: Relative residual tolerance (scaled by the Frobenius norm of the input).
 RESIDUAL_RTOL = 1e-8
+#: Largest ground set (vertices or points) the subset-DP brute force accepts.
+BRUTEFORCE_MAX_N = 14
 
 
 def rng_stream(seed: int, *labels: str) -> np.random.Generator:
@@ -108,3 +112,43 @@ def sym_eig(m: np.ndarray) -> EigenSystem:
     vectors.flags.writeable = False
     return EigenSystem(values=values, vectors=vectors)
 
+
+def _splits(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every split of a nonempty subset S of n elements (vertices or points)
+    into the block T that holds S's lowest element and the rest S - T,
+    grouped by the size c of S.
+
+    Entry c - 1 is ``(s, t)``: the subsets of size c in ascending order, and
+    an int32 matrix whose row i lists the 2^(c-1) blocks T of s[i], the
+    lowest element joined by each subset of the other c - 1 (a bit j of the
+    column index takes the j-th of them). (3^n - 1) / 2 splits in all.
+    """
+    masks = np.arange(1 << n, dtype=np.int32)
+    size = ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    out = []
+    for c in range(1, n + 1):
+        s = masks[size == c]
+        low = s & -s
+        others = np.nonzero(((s ^ low)[:, None] >> np.arange(n)) & 1)[1]
+        others = others.astype(np.int32).reshape(len(s), c - 1)
+        col = np.arange(1 << (c - 1), dtype=np.int32)
+        t = np.repeat(low[:, None], len(col), axis=1)
+        for j in range(c - 1):
+            t |= ((col >> j) & 1) << others[:, j:j + 1]
+        out.append((s, t))
+    return out
+
+
+def _min_over_splits(splits, value) -> np.ndarray:
+    """Per subset S, the minimum of ``value(t, r)`` over S's splits (t, r);
+    infinity for the empty set."""
+    out = np.full(1 << len(splits), np.inf)
+    for s, t in splits:
+        out[s] = value(t, s[:, None] ^ t).min(axis=1)
+    return out
+
+
+def _split_blocks(splits, s: int) -> np.ndarray:
+    """The blocks T of subset s's splits: its row of ``splits``."""
+    subsets, blocks = splits[s.bit_count() - 1]
+    return blocks[np.searchsorted(subsets, s)]

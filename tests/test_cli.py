@@ -184,6 +184,27 @@ class TestCluster:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["kind"] == "input"
 
+    @pytest.mark.parametrize("flag", ["--input", "--partition"])
+    @pytest.mark.parametrize("content, reason", [
+        (None, "No such file"),
+        (b"\xff\n", "can't decode byte 0xff"),
+    ])
+    def test_unreadable_file_is_input_error(self, tmp_path, capsys, flag, content, reason):
+        (tmp_path / "g.txt").write_text("0 1\n1 2\n")
+        bad = tmp_path / "bad.txt"
+        if content is not None:
+            bad.write_bytes(content)
+        if flag == "--input":
+            args = ["cluster", "--input", str(bad), "--k", "2"]
+        else:
+            args = ["diagnose", "--input", str(tmp_path / "g.txt"), "--partition", str(bad),
+                    "--k", "2"]
+        assert main(args) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "input"
+        assert err["message"].startswith(str(bad) + ": cannot read: ")
+        assert reason in err["message"]
+
     def test_no_spectral_gap_power_mode(self, capsys):
         # complete graph: lambda_k == lambda_{k+1}, power mode must refuse
         code = main(["cluster", "--gen", "sbm:sizes=4+4,pin=1.0,pout=1.0",

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +104,87 @@ class TestBruteForce:
             cw, _ = optimal_cost_bruteforce(weighted, k)
             cd, _ = optimal_cost_bruteforce(duplicated, k)
             assert cw == pytest.approx(cd, abs=1e-9)
+
+    def test_matches_labelling_oracle(self):
+        for name, p in oracle_point_sets():
+            for k in range(2, p.n):
+                got, clus = optimal_cost_bruteforce(p, k)
+                want, best = oracle_cost(p, k)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (name, k)
+                labels = clus.labels.tolist()
+                assert labels in best, (name, k)
+                assert cost(p, clus) == clus.cost == got
+
+    def test_coincident_points(self):
+        p = WeightedPoints(coords=np.zeros((12, 2)), weights=np.ones(12))
+        c, clus = optimal_cost_bruteforce(p, 4)
+        assert c == 0.0
+        assert clus.labels.tolist() == [0, 1, 2] + [3] * 9
+
+    def test_k_nonempty_clusters_under_rounding(self):
+        # Coincident points at non-dyadic coordinates: splitting a location
+        # costs 0 up to rounding, so an empty cluster scored 0 rather than
+        # +inf could look cheaper than a real split.
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            n = int(rng.integers(4, 10))
+            k = int(rng.integers(2, n))
+            coords = 0.1 + 0.3 * rng.integers(0, 2, size=(n, 2))
+            p = WeightedPoints(coords=coords, weights=0.5 + rng.random(n))
+            _, clus = optimal_cost_bruteforce(p, k)
+            assert sorted(set(clus.labels.tolist())) == list(range(k))
+
+
+@functools.lru_cache(maxsize=None)
+def canonical_labellings(n, k):
+    """Every labelling of n points into k nonempty clusters numbered in order
+    of first use, as an array with one labelling per row."""
+    rows = []
+    for labels in itertools.product(*(range(min(i + 1, k)) for i in range(n))):
+        try:
+            firsts = [labels.index(b) for b in range(k)]
+        except ValueError:  # an empty cluster
+            continue
+        if firsts == sorted(firsts):
+            rows.append(labels)
+    return np.array(rows)
+
+
+def oracle_cost(p, k):
+    """(least cost, labellings within 1e-12 relative of it) over every
+    canonical labelling, each scored at its weighted cluster means."""
+    labels = canonical_labellings(p.n, k)
+    onehot = (labels[:, :, None] == np.arange(k)).astype(float)  # labellings x n x k
+    mass = np.einsum("lnk,n->lk", onehot, p.weights)
+    centers = np.einsum("lnk,n,nd->lkd", onehot, p.weights, p.coords) / mass[:, :, None]
+    diffs = p.coords - np.take_along_axis(centers, labels[:, :, None], axis=1)
+    costs = np.einsum("n,lnd->l", p.weights, diffs ** 2)
+    best = costs.min()
+    return best, labels[costs <= best * (1 + 1e-12)].tolist()
+
+
+def oracle_point_sets():
+    """Seeded weighted point sets with n <= 9: generic ones, and ones with
+    coincident points, duplicated points and exactly tied partitions."""
+    rng = np.random.default_rng(11)
+    for n in range(3, 10):
+        yield "generic%d" % n, WeightedPoints(coords=rng.standard_normal((n, 2)),
+                                              weights=0.5 + rng.random(n))
+    # Integer coordinates and weights keep the weighted mean of coincident
+    # points exact, so a zero optimum is 0.0 however the labelling ties break.
+    coords = rng.integers(-3, 4, size=(3, 2)).astype(float)
+    yield "coincident", WeightedPoints(coords=coords[rng.integers(0, 3, size=8)],
+                                       weights=rng.integers(1, 4, size=8).astype(float))
+    base = rng.integers(-5, 6, size=(4, 3)).astype(float)
+    yield "duplicate", WeightedPoints(coords=np.vstack([base, base[:3]]),
+                                      weights=np.array([1, 2, 1, 3, 2, 1, 1], dtype=float))
+    # Corners of a square and of a unit cube: many partitions tie exactly.
+    square = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
+    yield "square", WeightedPoints(coords=np.vstack([square, square + [3, 0]]),
+                                   weights=np.ones(8))
+    cube = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
+    yield "cube", WeightedPoints(coords=np.vstack([cube, [[0.5, 0.5, 0.5]]]),
+                                 weights=np.ones(9))
 
 
 class TestLloydStep:
