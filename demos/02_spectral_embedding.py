@@ -4,16 +4,14 @@ Vertex u maps to the first k eigenvector coordinates of the normalized
 Laplacian divided by sqrt(d_u). Treating that image as n points weighted by
 degree gives a k-means instance whose degree-weighted Gram matrix is exactly
 the identity, and whose geometry mirrors the cluster structure: well-separated
-cliques land on well-separated points.
+cliques land on well-separated points. The Embedding object is that instance:
+it goes straight into the k-means routines.
 """
-
-import os
-import tempfile
 
 import numpy as np
 
-from spectralpart import (LaplacianOps, exact_embedding, gen_ring_of_cliques,
-                          normalized_weighted_pointset, write_embedding)
+from spectralpart import (LaplacianOps, best_of_orss, exact_embedding,
+                          gen_ring_of_cliques)
 
 g, planted = gen_ring_of_cliques(3, 20, 1, seed=1)
 ops = LaplacianOps(g)
@@ -32,9 +30,8 @@ gram = (emb.weights[:, None] * emb.coords).T @ emb.coords
 print("degree-weighted Gram deviation from identity: %.2e"
       % np.abs(gram - np.eye(3)).max())
 
-pts = normalized_weighted_pointset(emb)
 print("weighted point set: %d points, total weight %d (= 2m = %d)"
-      % (pts.n, int(pts.weights.sum()), 2 * g.m))
+      % (emb.n, int(emb.weights.sum()), 2 * g.m))
 
 # Each planted block collapses to a tight clump in embedding space.
 for i in range(3):
@@ -43,7 +40,7 @@ for i in range(3):
     print("block %d: coordinate spread %.2e around its center" % (
         i, np.abs(block - center).max()))
 
-path = os.path.join(tempfile.gettempdir(), "ring_embedding.txt")
-write_embedding(emb, path)
-print("\nembedding exported to", path,
-      "(header + one 'u d_u coords...' line per vertex)")
+clustering = best_of_orss(emb, 3, seed=0)
+pairs = set(zip(planted.labels.tolist(), clustering.labels.tolist()))
+print("\nk-means on the embedding: cost %.2e, planted blocks recovered: %s"
+      % (clustering.cost, len(pairs) == 3))

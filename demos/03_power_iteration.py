@@ -9,7 +9,7 @@ high probability; the demo traces the actual error as p grows.
 
 import numpy as np
 
-from spectralpart import (PowerParams, exact_embedding, gen_ring_of_cliques,
+from spectralpart import (exact_embedding, gen_ring_of_cliques,
                           power_embedding, projection_distance,
                           required_power_steps)
 
@@ -26,13 +26,12 @@ print("steps for eps=%.2g, delta=%.2g: p = %d" % (eps, delta, p_needed))
 
 print("\n p   mean projector error over 10 seeds")
 for p in (1, 2, 4, 8, 16, p_needed, 32):
-    errs = [projection_distance(exact, power_embedding(
-        g, 3, PowerParams(steps=p, seed=s, eps=eps, delta=delta)))
-        for s in range(10)]
+    errs = [projection_distance(exact, power_embedding(g, 3, p, s))
+            for s in range(10)]
     marker = "  <- required p" if p == p_needed else ""
     print("%3d  %.3e%s" % (p, np.mean(errs), marker))
 
-a = power_embedding(g, 3, PowerParams(steps=p_needed, seed=0))
-b = power_embedding(g, 3, PowerParams(steps=p_needed, seed=0))
+a = power_embedding(g, 3, p_needed, 0)
+b = power_embedding(g, 3, p_needed, 0)
 print("\nsame seed, same result, bit for bit:",
       np.array_equal(a.coords, b.coords))

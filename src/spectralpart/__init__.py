@@ -34,10 +34,9 @@ from .kmeans import (Clustering, SeparationEstimate, WeightedPoints,
                      best_of_orss, cost, lloyd_step, optimal_cost_bruteforce,
                      orss_kmeans, separation_ratio)
 from .linalg import EigenSystem, gaussian_matrix, rng_stream, sym_eig
-from .spectral import (Embedding, LaplacianOps, PowerParams, exact_embedding,
-                       normalized_weighted_pointset, power_embedding,
-                       projection_distance, read_embedding,
-                       required_power_steps, spectrum, write_embedding)
+from .spectral import (Embedding, LaplacianOps, exact_embedding,
+                       power_embedding, projection_distance,
+                       required_power_steps, spectrum)
 from .diagnostics import (CheckRecord, CoeffMatrices, GapReport,
                           InterConnection, PartitionConstants,
                           bruteforce_partition_constants,
@@ -58,9 +57,8 @@ __all__ = [
     "cost", "lloyd_step", "optimal_cost_bruteforce", "orss_kmeans",
     "separation_ratio",
     "EigenSystem", "gaussian_matrix", "rng_stream", "sym_eig",
-    "Embedding", "LaplacianOps", "PowerParams", "exact_embedding",
-    "normalized_weighted_pointset", "power_embedding", "projection_distance",
-    "read_embedding", "required_power_steps", "spectrum", "write_embedding",
+    "Embedding", "LaplacianOps", "exact_embedding", "power_embedding",
+    "projection_distance", "required_power_steps", "spectrum",
     "CheckRecord", "CoeffMatrices", "GapReport", "InterConnection",
     "PartitionConstants", "bruteforce_partition_constants",
     "characteristic_vectors", "coeff_matrices", "estimation_centers",

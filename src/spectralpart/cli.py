@@ -164,15 +164,13 @@ def cmd_cluster(args) -> int:
         lam_k = float(eig.values[args.k - 1])
         lam_k1 = float(eig.values[args.k])
         steps = S.required_power_steps(g.n, args.k, args.eps, args.delta, lam_k, lam_k1)
-        emb = S.power_embedding(g, args.k, S.PowerParams(steps=steps, seed=args.seed,
-                                                         eps=args.eps, delta=args.delta))
+        emb = S.power_embedding(g, args.k, steps, args.seed)
         power_info = {"steps": steps, "seed": args.seed, "eps": args.eps,
                       "delta": args.delta, "lambda_source": "sparse-eigensolve"}
     timings["embedding"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pts = S.normalized_weighted_pointset(emb)
-    clustering = best_of_orss(pts, args.k, args.seed, args.restarts)
+    clustering = best_of_orss(emb, args.k, args.seed, args.restarts)
     result = G.Partition(args.k, clustering.labels)
     timings["kmeans"] = time.perf_counter() - t0
 
@@ -295,9 +293,8 @@ def cmd_verify(args) -> int:
     timings["interconnection"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pts = S.normalized_weighted_pointset(emb)
-    oracle, _ = optimal_cost_bruteforce(pts, k)
-    heur = best_of_orss(pts, k, args.seed, args.restarts)
+    oracle, _ = optimal_cost_bruteforce(emb, k)
+    heur = best_of_orss(emb, k, args.seed, args.restarts)
     records.append(_record("kmeans_oracle_lower", oracle, heur.cost, True))
     records.append(_record("kmeans_heuristic_factor", heur.cost, 1.1 * oracle, True))
     timings["kmeans"] = time.perf_counter() - t0

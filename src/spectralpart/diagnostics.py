@@ -32,7 +32,7 @@ from .graph import (Graph, Partition, block_conductances, match_partitions,
                     sym_diff_volume, volume)
 from .kmeans import separation_ratio
 from .linalg import BRUTEFORCE_MAX_N, EigenSystem, _min_over_splits, _split_blocks, _splits
-from .spectral import Embedding, exact_embedding, normalized_weighted_pointset
+from .spectral import Embedding, exact_embedding
 
 #: Absolute slack added on top of every bound before calling a check failed.
 CHECK_TOL = 1e-9
@@ -538,8 +538,7 @@ def run_theorem_checks(g: Graph, k: int, planted: Partition,
     records.append(_record("planted_center_cost", planted_cost, rhs_cost,
                            hyp_mix, psi_note))
 
-    pts = normalized_weighted_pointset(emb)
-    sep = separation_ratio(pts, k, seed)
+    sep = separation_ratio(emb, k, seed)
     sep_note = psi_note + "; method=%s" % sep.method
     records.append(_record("optimal_cost_bound", sep.delta_k, rhs_cost,
                            hyp_mix, sep_note))

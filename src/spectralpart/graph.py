@@ -86,15 +86,6 @@ class Graph:
         self.indices = indices
         self.indptr = indptr
 
-    def neighbors(self, u: int) -> np.ndarray:
-        """Sorted neighbor ids of u."""
-        return self.indices[self.indptr[u]: self.indptr[u + 1]]
-
-    @property
-    def total_volume(self) -> int:
-        """Sum of all degrees (= 2m)."""
-        return 2 * self.m
-
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.m)
 
@@ -133,10 +124,6 @@ class Partition:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def block(self, i: int) -> np.ndarray:
-        """Vertex ids of block i."""
-        return np.flatnonzero(self.labels == i)
 
     def __repr__(self):
         return "Partition(k=%d, n=%d%s)" % (

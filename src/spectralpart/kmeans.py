@@ -261,9 +261,9 @@ def optimal_cost_bruteforce(pts: WeightedPoints, k: int) -> tuple[float, Cluster
 class SeparationEstimate:
     """Estimated optimal-cost drop from k-1 to k clusters.
 
-    ``method`` is "bruteforce" (exact, n <= 12) or "restarts" (best of
-    DEFAULT_RESTARTS heuristic upper bounds for both costs, so the ratio is
-    only an estimate). ``degenerate`` flags a 0/0 ratio.
+    ``method`` is "bruteforce" (exact, n <= BRUTEFORCE_MAX_N) or "restarts"
+    (best of DEFAULT_RESTARTS heuristic upper bounds for both costs, so the
+    ratio is only an estimate). ``degenerate`` flags a 0/0 ratio.
     """
 
     ratio: float
@@ -277,7 +277,7 @@ def separation_ratio(pts: WeightedPoints, k: int, seed: int) -> SeparationEstima
     """Estimate Delta_k / Delta_{k-1} with the method recorded alongside."""
     if k < 2:
         raise InputError("separation needs k >= 2")
-    if pts.n <= 12:
+    if pts.n <= BRUTEFORCE_MAX_N:
         method = "bruteforce"
         delta_k, _ = optimal_cost_bruteforce(pts, k)
         delta_km1, _ = optimal_cost_bruteforce(pts, k - 1)

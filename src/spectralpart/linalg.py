@@ -12,6 +12,7 @@ Tolerances used across the package live here as constants.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -113,7 +114,8 @@ def sym_eig(m: np.ndarray) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors)
 
 
-def _splits(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+@functools.lru_cache(maxsize=1)
+def _splits(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Every split of a nonempty subset S of n elements (vertices or points)
     into the block T that holds S's lowest element and the rest S - T,
     grouped by the size c of S.
@@ -122,6 +124,7 @@ def _splits(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     an int32 matrix whose row i lists the 2^(c-1) blocks T of s[i], the
     lowest element joined by each subset of the other c - 1 (a bit j of the
     column index takes the j-th of them). (3^n - 1) / 2 splits in all.
+    Cached read-only for the last n, so the exact oracles share one build.
     """
     masks = np.arange(1 << n, dtype=np.int32)
     size = ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1)
@@ -135,8 +138,9 @@ def _splits(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
         t = np.repeat(low[:, None], len(col), axis=1)
         for j in range(c - 1):
             t |= ((col >> j) & 1) << others[:, j:j + 1]
+        s.flags.writeable = t.flags.writeable = False
         out.append((s, t))
-    return out
+    return tuple(out)
 
 
 def _min_over_splits(splits, value) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Normalized-Laplacian operators and spectral embeddings.
 
 The embedding maps vertex u to the first k eigenvector coordinates divided by
-sqrt(d_u); the induced k-means instance is the set of those n points weighted
-by degree (weights stand in for the usual "d_u duplicated copies" view, which
+sqrt(d_u); an Embedding is the k-means instance of those n points weighted by
+degree (weights stand in for the usual "d_u duplicated copies" view, which
 costs the same under weighted k-means and O(n) instead of O(m) memory).
 
 One spectrum stage, ``spectrum``, computes the k+1 lowest eigenpairs of the
@@ -65,54 +65,29 @@ class LaplacianOps:
 
 
 @dataclass(frozen=True)
-class Embedding:
-    """Per-vertex k-dimensional spectral coordinates with degree weights.
+class Embedding(WeightedPoints):
+    """Per-vertex spectral coordinates as a degree-weighted k-means instance.
 
     ``basis`` holds the orthonormal columns (exact eigenvectors or the power
     method's final QR factor); ``coords`` is basis with row u divided by
-    sqrt(d_u). The degree-weighted Gram identity sum_u d_u F(u) F(u)^T = I_k
-    holds for both kinds.
+    sqrt(d_u) (row u of coords is F(u)), and ``weights`` holds d_u; the Gram
+    identity sum_u d_u F(u) F(u)^T = I_k holds for both routes.
     """
 
     basis: np.ndarray
-    coords: np.ndarray
-    weights: np.ndarray
-    kind: str                      # "exact" | "approximate"
-    power_steps: int | None = None
-    seed: int | None = None
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
 
     @property
     def k(self) -> int:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
-class PowerParams:
-    """Power iteration configuration: step count, seed, and (eps, delta) targets."""
-
-    steps: int
-    seed: int
-    eps: float = 0.01
-    delta: float = 0.1
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise InputError("power iteration needs at least 1 step")
-
-
-def _freeze_embedding(basis: np.ndarray, g: Graph, kind: str,
-                      power_steps=None, seed=None) -> Embedding:
+def _freeze_embedding(basis: np.ndarray, g: Graph) -> Embedding:
     inv_sqrt_d = 1.0 / np.sqrt(g.degrees.astype(float))
     coords = basis * inv_sqrt_d[:, None]
     weights = g.degrees.astype(float)
     for arr in (basis, coords, weights):
         arr.flags.writeable = False
-    return Embedding(basis=basis, coords=coords, weights=weights, kind=kind,
-                     power_steps=power_steps, seed=seed)
+    return Embedding(coords=coords, weights=weights, basis=basis)
 
 
 def spectrum(g: Graph, k: int) -> EigenSystem:
@@ -173,7 +148,7 @@ def exact_embedding(g: Graph, k: int) -> tuple[Embedding, EigenSystem]:
     """
     eig = spectrum(g, k)
     basis = eig.vectors[:, :k].copy()
-    return _freeze_embedding(basis, g, "exact"), eig
+    return _freeze_embedding(basis, g), eig
 
 
 def required_power_steps(n: int, k: int, eps: float, delta: float,
@@ -198,29 +173,30 @@ def required_power_steps(n: int, k: int, eps: float, delta: float,
     return max(int(p), 1)
 
 
-def power_embedding(g: Graph, k: int, params: PowerParams) -> Embedding:
-    """Approximate embedding: p sparse matvecs of I + N on a Gaussian block.
+def power_embedding(g: Graph, k: int, steps: int, seed: int) -> Embedding:
+    """Approximate embedding: p = steps matvecs of I + N on a Gaussian block.
 
     Subspace iteration: the operator power is never materialized, and the
     block is re-orthonormalized by a QR after every application, so its
     columns cannot all drift toward the top eigenvector. A diagonal entry of
     R below _RANK_COLLAPSE_RTOL times the largest one means the block lost
     rank, and raises NumericError. Runtime O(m k p + n k^2 p). Deterministic
-    for fixed (graph, params).
+    for fixed (graph, k, steps, seed).
     """
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
+    if steps < 1:
+        raise InputError("power iteration needs at least 1 step")
     ops = LaplacianOps(g)
-    block = gaussian_matrix(g.n, k, params.seed)
-    for _ in range(params.steps):
+    block = gaussian_matrix(g.n, k, seed)
+    for _ in range(steps):
         block, r = np.linalg.qr(ops.apply_shifted(block))
         diag = np.abs(np.diag(r))
         if diag.min() <= _RANK_COLLAPSE_RTOL * diag.max():
             raise NumericError(
                 "rank collapse in power iteration (|R_jj| from %.3e to %.3e); "
                 "rerun with a new seed" % (diag.min(), diag.max()))
-    return _freeze_embedding(block, g, "approximate", power_steps=params.steps,
-                             seed=params.seed)
+    return _freeze_embedding(block, g)
 
 
 def projection_distance(a, b) -> float:
@@ -239,56 +215,3 @@ def projection_distance(a, b) -> float:
     resid_a = mat_a - mat_b @ (mat_b.T @ mat_a)
     resid_b = mat_b - mat_a @ (mat_a.T @ mat_b)
     return math.sqrt(float(np.sum(resid_a ** 2)) + float(np.sum(resid_b ** 2)))
-
-
-def normalized_weighted_pointset(e: Embedding) -> WeightedPoints:
-    """The embedding as a weighted k-means instance.
-
-    One point F(u) per vertex with multiplicity weight d_u; total weight 2m.
-    The degree-duplicated row matrix is never materialized.
-    """
-    return WeightedPoints(coords=e.coords, weights=e.weights)
-
-
-# ---------------------------------------------------------------------------
-# Text export: one line per vertex "u d_u F(u)_1 ... F(u)_k"
-# ---------------------------------------------------------------------------
-
-def write_embedding(e: Embedding, path):
-    """Write the embedding in the text format with 17-significant-digit floats."""
-    with open(path, "w", encoding="utf-8") as fh:
-        steps = "-" if e.power_steps is None else str(e.power_steps)
-        seed = "-" if e.seed is None else str(e.seed)
-        fh.write("#spectral-embedding %d %d %s %s %s\n" % (e.n, e.k, e.kind, steps, seed))
-        for u in range(e.n):
-            row = " ".join("%.17g" % x for x in e.coords[u])
-            fh.write("%d %d %s\n" % (u, int(e.weights[u]), row))
-
-
-def read_embedding(path) -> Embedding:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 6 or header[0] != "#spectral-embedding":
-            raise InputError("%s: bad embedding header" % path)
-        n, k = int(header[1]), int(header[2])
-        kind = header[3]
-        steps = None if header[4] == "-" else int(header[4])
-        seed = None if header[5] == "-" else int(header[5])
-        coords = np.zeros((n, k))
-        weights = np.zeros(n)
-        for lineno, raw in enumerate(fh, start=2):
-            parts = raw.split()
-            if len(parts) != k + 2:
-                raise InputError("%s:%d: expected %d fields" % (path, lineno, k + 2))
-            u = int(parts[0])
-            if u < 0 or u >= n:
-                raise InputError("%s:%d: vertex out of range" % (path, lineno))
-            weights[u] = float(parts[1])
-            coords[u] = [float(x) for x in parts[2:]]
-    if np.any(weights <= 0):
-        raise InputError("%s: missing vertex rows" % path)
-    basis = coords * np.sqrt(weights)[:, None]
-    for arr in (basis, coords, weights):
-        arr.flags.writeable = False
-    return Embedding(basis=basis, coords=coords, weights=weights, kind=kind,
-                     power_steps=steps, seed=seed)

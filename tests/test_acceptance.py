@@ -14,14 +14,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectralpart import (Graph, PowerParams, best_of_orss,
-                          block_conductances, bruteforce_partition_constants,
+from spectralpart import (Graph, best_of_orss, block_conductances,
+                          bruteforce_partition_constants,
                           characteristic_vectors, coeff_matrices, conductance,
                           estimation_centers, exact_embedding, gap_report,
                           gaussian_matrix, gen_ring_of_cliques, gen_sbm,
-                          inter_connection, normalized_weighted_pointset,
-                          optimal_cost_bruteforce, orss_kmeans,
-                          power_embedding, projection_distance,
+                          inter_connection, optimal_cost_bruteforce,
+                          orss_kmeans, power_embedding, projection_distance,
                           required_power_steps, rng_stream, separation_ratio,
                           volume)
 from spectralpart.cli import main as cli_main
@@ -44,10 +43,9 @@ def big_ring():
     gbar = characteristic_vectors(g, p)
     cm = coeff_matrices(eig, gbar, 3)
     gap = gap_report(g, 3, p, eig)
-    pts = normalized_weighted_pointset(emb)
-    sep = separation_ratio(pts, 3, seed=0)
+    sep = separation_ratio(emb, 3, seed=0)
     return {"g": g, "p": p, "emb": emb, "eig": eig, "gbar": gbar, "cm": cm,
-            "gap": gap, "pts": pts, "sep": sep, "build_seconds": time.time() - t0}
+            "gap": gap, "sep": sep, "build_seconds": time.time() - t0}
 
 
 def test_01_unconditional_projection_bound():
@@ -150,8 +148,7 @@ def test_06_power_method_guarantee():
                                  float(eig.values[2]), float(eig.values[3]))
     hits = 0
     for seed in range(50):
-        approx = power_embedding(g, 3, PowerParams(steps=steps, seed=seed,
-                                                   eps=eps, delta=delta))
+        approx = power_embedding(g, 3, steps, seed)
         hits += projection_distance(exact, approx) <= eps
     announce(6, hits >= 45, "p=%d, %d/50 seeds within eps=%.2f (%.1fs)"
              % (steps, hits, eps, time.time() - t0))

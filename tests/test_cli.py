@@ -473,3 +473,8 @@ def test_package_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_all_names_resolve():
+    import spectralpart
+    assert [n for n in spectralpart.__all__ if not hasattr(spectralpart, n)] == []

@@ -334,7 +334,7 @@ class TestSeparationRatio:
 
     def test_restart_path_flagged(self):
         rng = np.random.default_rng(11)
-        p, _ = clumps(rng, 3, 6)  # n = 18 > 12
+        p, _ = clumps(rng, 3, 6)  # n = 18 > BRUTEFORCE_MAX_N
         est = separation_ratio(p, 3, seed=0)
         assert est.method == "restarts"
         assert est.ratio < 1e-4
@@ -342,6 +342,15 @@ class TestSeparationRatio:
     def test_requires_k_at_least_two(self):
         with pytest.raises(InputError):
             separation_ratio(pts_1d([0.0, 1.0]), 1, seed=0)
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_exact_up_to_bruteforce_cap(self, n):
+        rng = np.random.default_rng(n)
+        p = WeightedPoints(coords=rng.random((n, 2)), weights=1 + rng.random(n))
+        est = separation_ratio(p, 3, seed=0)
+        assert est.method == "bruteforce"
+        assert est.delta_k == optimal_cost_bruteforce(p, 3)[0]
+        assert est.delta_km1 == optimal_cost_bruteforce(p, 2)[0]
 
 
 class TestOrssVsBruteProperty:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spectralpart import InputError, gaussian_matrix, rng_stream, sym_eig
+from spectralpart.linalg import _splits
 from conftest import complete_graph, cycle_graph, dense_laplacian, path_graph
 
 
@@ -129,3 +130,15 @@ class TestRngStream:
         a = rng_stream(1, "x").random(4)
         b = rng_stream(2, "x").random(4)
         assert not np.array_equal(a, b)
+
+
+class TestSplits:
+    def test_built_once_and_read_only(self):
+        splits = _splits(6)
+        assert splits is _splits(6)
+        assert len(splits) == 6
+        assert sum(t.size for _, t in splits) == (3 ** 6 - 1) // 2
+        for s, t in splits:
+            for arr in (s, t):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0

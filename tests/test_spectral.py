@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from spectralpart import (GapError, InputError, LaplacianOps, NumericError,
-                          PowerParams, exact_embedding, gen_ring_of_cliques,
-                          gen_sbm, normalized_weighted_pointset,
-                          power_embedding, projection_distance, read_embedding,
-                          required_power_steps, write_embedding)
+from spectralpart import (Embedding, GapError, InputError, LaplacianOps,
+                          NumericError, WeightedPoints, best_of_orss,
+                          exact_embedding, gen_ring_of_cliques, gen_sbm,
+                          optimal_cost_bruteforce, power_embedding,
+                          projection_distance, required_power_steps,
+                          separation_ratio)
 from conftest import complete_graph, dense_laplacian, disjoint_cliques
 
 
@@ -106,7 +107,7 @@ class TestPowerEmbedding:
     def test_disconnected_converges_to_kernel(self):
         g, _ = disjoint_cliques(3, 4)
         exact, _ = exact_embedding(g, 3)
-        approx = power_embedding(g, 3, PowerParams(steps=50, seed=0))
+        approx = power_embedding(g, 3, 50, 0)
         assert projection_distance(exact, approx) <= 1e-6
 
     def test_requested_accuracy_on_ring(self):
@@ -114,18 +115,18 @@ class TestPowerEmbedding:
         exact, eig = exact_embedding(g, 3)
         p = required_power_steps(g.n, 3, 0.01, 0.1,
                                  float(eig.values[2]), float(eig.values[3]))
-        approx = power_embedding(g, 3, PowerParams(steps=p, seed=1, eps=0.01, delta=0.1))
+        approx = power_embedding(g, 3, p, 1)
         assert projection_distance(exact, approx) <= 0.01
 
     def test_deterministic(self):
         g, _ = gen_ring_of_cliques(3, 8, 1, seed=0)
-        a = power_embedding(g, 3, PowerParams(steps=12, seed=7))
-        b = power_embedding(g, 3, PowerParams(steps=12, seed=7))
+        a = power_embedding(g, 3, 12, 7)
+        b = power_embedding(g, 3, 12, 7)
         assert np.array_equal(a.coords, b.coords)
 
     def test_gram_identity_approximate(self):
         g, _ = gen_ring_of_cliques(3, 8, 1, seed=0)
-        emb = power_embedding(g, 3, PowerParams(steps=20, seed=4))
+        emb = power_embedding(g, 3, 20, 4)
         gram = (emb.weights[:, None] * emb.coords).T @ emb.coords
         assert np.abs(gram - np.eye(3)).max() < 1e-8
 
@@ -135,7 +136,7 @@ class TestPowerEmbedding:
         averages = []
         for steps in (1, 2, 4, 8, 16, 32, 64):
             dists = [projection_distance(
-                exact, power_embedding(g, 3, PowerParams(steps=steps, seed=s)))
+                exact, power_embedding(g, 3, steps, s))
                 for s in range(20)]
             averages.append(np.mean(dists))
         for a, b in zip(averages, averages[1:]):
@@ -149,17 +150,17 @@ class TestPowerEmbedding:
         exact, eig = exact_embedding(g, 4)
         p = required_power_steps(g.n, 4, eps, 0.1,
                                  float(eig.values[3]), float(eig.values[4]))
-        approx = power_embedding(g, 4, PowerParams(steps=p, seed=0, eps=eps, delta=0.1))
+        approx = power_embedding(g, 4, p, 0)
         assert projection_distance(exact, approx) <= eps
 
     def test_rank_collapse_raises(self):
         # K2 with k = 2: I + N has eigenvalues 2 and 0, so one column dies
         with pytest.raises(NumericError, match="rank collapse"):
-            power_embedding(complete_graph(2), 2, PowerParams(steps=3, seed=0))
+            power_embedding(complete_graph(2), 2, 3, 0)
 
     def test_params_validation(self):
-        with pytest.raises(InputError):
-            PowerParams(steps=0, seed=0)
+        with pytest.raises(InputError, match="at least 1 step"):
+            power_embedding(complete_graph(4), 2, 0, 0)
 
 
 class TestProjectionDistance:
@@ -197,21 +198,43 @@ class TestProjectionDistance:
 class TestWeightedPointset:
     def test_k2(self):
         emb, _ = exact_embedding(complete_graph(2), 1)
-        pts = normalized_weighted_pointset(emb)
-        assert pts.n == 2
-        assert pts.weights.tolist() == [1.0, 1.0]
+        assert isinstance(emb, WeightedPoints)
+        assert emb.n == 2 and emb.dim == emb.k == 1
+        assert emb.weights.tolist() == [1.0, 1.0]
 
     def test_k4_total_weight(self):
         emb, _ = exact_embedding(complete_graph(4), 2)
-        pts = normalized_weighted_pointset(emb)
-        assert pts.weights.tolist() == [3.0] * 4
-        assert pts.weights.sum() == 12  # 2m
+        assert emb.weights.tolist() == [3.0] * 4
+        assert emb.weights.sum() == 12  # 2m
 
     def test_ring_total_weight(self):
         g, _ = gen_ring_of_cliques(2, 3, 1, seed=0)
         emb, _ = exact_embedding(g, 2)
-        pts = normalized_weighted_pointset(emb)
-        assert pts.weights.sum() == 14  # 2m with m = 7
+        assert emb.weights.sum() == 14  # 2m with m = 7
+
+    def test_nonpositive_weight_rejected(self):
+        with pytest.raises(InputError, match="weights"):
+            Embedding(coords=np.zeros((2, 1)), weights=np.array([1.0, 0.0]),
+                      basis=np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("graph", ["ring", "sbm"])
+    @pytest.mark.parametrize("route", ["exact", "power"])
+    def test_kmeans_routines_match_plain_points(self, graph, route):
+        if graph == "ring":
+            g, _ = gen_ring_of_cliques(3, 4, 1, seed=2)
+        else:
+            g, _ = gen_sbm([4, 4, 5], 0.9, 0.15, seed=6)
+        if route == "exact":
+            emb, _ = exact_embedding(g, 3)
+        else:
+            emb = power_embedding(g, 3, 15, 1)
+        plain = WeightedPoints(emb.coords, emb.weights)
+        for fn in (lambda p: best_of_orss(p, 3, 5, restarts=4),
+                   lambda p: optimal_cost_bruteforce(p, 3)[1]):
+            got, want = fn(emb), fn(plain)
+            assert got.cost == want.cost
+            assert np.array_equal(got.labels, want.labels)
+        assert separation_ratio(emb, 3, 0) == separation_ratio(plain, 3, 0)
 
 
 class TestDuplicatedCopyEquivalence:
@@ -220,7 +243,7 @@ class TestDuplicatedCopyEquivalence:
         # compare projector distances in both representations
         g, _ = gen_ring_of_cliques(2, 3, 1, seed=0)
         exact, _ = exact_embedding(g, 2)
-        approx = power_embedding(g, 2, PowerParams(steps=6, seed=3))
+        approx = power_embedding(g, 2, 6, 3)
 
         def duplicated(emb):
             rows = [np.repeat(emb.coords[[u]], int(emb.weights[u]), axis=0)
@@ -247,21 +270,3 @@ class TestSpectrumInvariants:
         _, eig = exact_embedding(g, 4)
         assert int(np.sum(np.abs(eig.values) < 1e-8)) == 4
 
-
-class TestEmbeddingFile:
-    def test_roundtrip(self, tmp_path):
-        g, _ = gen_ring_of_cliques(3, 5, 1, seed=6)
-        emb = power_embedding(g, 3, PowerParams(steps=10, seed=2))
-        path = tmp_path / "emb.txt"
-        write_embedding(emb, path)
-        back = read_embedding(path)
-        assert back.kind == "approximate"
-        assert back.power_steps == 10 and back.seed == 2
-        assert np.allclose(back.coords, emb.coords, rtol=0, atol=0)
-        assert np.allclose(back.basis, emb.basis, rtol=1e-12, atol=1e-15)
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("#wrong 1 2 exact - -\n")
-        with pytest.raises(InputError):
-            read_embedding(path)
