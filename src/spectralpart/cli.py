@@ -30,7 +30,7 @@ import numpy as np
 from . import diagnostics as D
 from . import graph as G
 from . import spectral as S
-from .diagnostics import CHECK_TOL, INTERCONNECT_MAX_VERTICES, _record
+from .diagnostics import CHECK_TOL, _record
 from .errors import CapacityError, InputError, NumericError
 from .kmeans import DEFAULT_RESTARTS, best_of_orss, optimal_cost_bruteforce
 
@@ -84,12 +84,16 @@ def parse_gen_spec(spec: str):
     """
     usage = parse_gen_spec.__doc__.split("Grammar:")[1].strip()
     head, _, rest = spec.partition(":")
+    known = {"ring": {"k", "size", "b"}, "sbm": {"sizes", "pin", "pout"}}
+    if head not in known:
+        raise InputError("unknown generator %r; grammar:\n%s" % (head, usage))
     fields = {}
     for item in rest.split(","):
         key, eq, val = item.partition("=")
-        if not eq:
+        key = key.strip()
+        if not eq or key not in known[head] or key in fields:
             raise InputError("bad generator spec %r; grammar:\n%s" % (spec, usage))
-        fields[key.strip()] = val.strip()
+        fields[key] = val.strip()
     try:
         if head == "ring":
             return ("ring", int(fields["k"]), int(fields["size"]), int(fields["b"]))
@@ -98,7 +102,6 @@ def parse_gen_spec(spec: str):
             return ("sbm", sizes, float(fields["pin"]), float(fields["pout"]))
     except (KeyError, ValueError):
         raise InputError("bad generator spec %r; grammar:\n%s" % (spec, usage))
-    raise InputError("unknown generator %r; grammar:\n%s" % (head, usage))
 
 
 def _read_file(read, path, *args):
@@ -267,29 +270,27 @@ def cmd_verify(args) -> int:
     timings["constants"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    inter_section = None
-    if g.n <= INTERCONNECT_MAX_VERTICES:
-        inter = D.inter_connection(g, k, constants=consts)
-        inter_section = {"degenerate": inter.degenerate, "rho": inter.rho,
-                         "rho_hat": inter.rho_hat}
-        if not inter.degenerate:
-            inter_section.update(
-                rho_p=inter.rho_p, kappa=inter.kappa, rho_avr_tilde=inter.rho_avr_tilde,
-                witness_partition=inter.witness_partition.labels.tolist(),
-                witness_tuple=inter.witness_tuple.labels.tolist())
-            records.append(_record("interconnection_in_range", inter.rho_p,
-                                   1.0 - 1.0 / (k - 1), True,
-                                   "positivity checked separately"))
-            records.append(_record("interconnection_positive", 2 * CHECK_TOL, inter.rho_p,
-                                   True, "asserts rho_p > 0"))
-            phi_z = [float(f) for f in G.block_conductances(g, inter.witness_tuple)]
-            phi_p = [float(f) for f in G.block_conductances(g, inter.witness_partition)]
-            for i in range(k):
-                records.append(_record("interconnection_witness_phi[%d]" % i,
-                                       phi_p[i], inter.kappa * phi_z[i], True))
-            records.append(_record("interconnection_witness_avg",
-                                   inter.rho_avr_tilde,
-                                   inter.kappa / k * sum(phi_z), True))
+    inter = D.inter_connection(g, k, constants=consts)
+    inter_section = {"degenerate": inter.degenerate, "rho": inter.rho,
+                     "rho_hat": inter.rho_hat}
+    if not inter.degenerate:
+        inter_section.update(
+            rho_p=inter.rho_p, kappa=inter.kappa, rho_avr_tilde=inter.rho_avr_tilde,
+            witness_partition=inter.witness_partition.labels.tolist(),
+            witness_tuple=inter.witness_tuple.labels.tolist())
+        records.append(_record("interconnection_in_range", inter.rho_p,
+                               1.0 - 1.0 / (k - 1), True,
+                               "positivity checked separately"))
+        records.append(_record("interconnection_positive", 2 * CHECK_TOL, inter.rho_p,
+                               True, "asserts rho_p > 0"))
+        phi_z = [float(f) for f in G.block_conductances(g, inter.witness_tuple)]
+        phi_p = [float(f) for f in G.block_conductances(g, inter.witness_partition)]
+        for i in range(k):
+            records.append(_record("interconnection_witness_phi[%d]" % i,
+                                   phi_p[i], inter.kappa * phi_z[i], True))
+        records.append(_record("interconnection_witness_avg",
+                               inter.rho_avr_tilde,
+                               inter.kappa / k * sum(phi_z), True))
     timings["interconnection"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

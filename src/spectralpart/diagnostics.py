@@ -31,15 +31,13 @@ from .errors import CapacityError, GapError, InputError, NumericError, SpanColla
 from .graph import (Graph, Partition, block_conductances, match_partitions,
                     sym_diff_volume, volume)
 from .kmeans import separation_ratio
-from .linalg import BRUTEFORCE_MAX_N, EigenSystem, _min_over_splits, _split_blocks, _splits
+from .linalg import BRUTEFORCE_MAX_N, EigenSystem, _partition_layers, _split_blocks, _splits
 from .spectral import Embedding, exact_embedding
 
 #: Absolute slack added on top of every bound before calling a check failed.
 CHECK_TOL = 1e-9
 #: Smallest singular value of the indicator-coefficient matrix we accept.
 SPAN_CONDITION_TOL = 1e-8
-#: Inter-connection brute-force capacity bound.
-INTERCONNECT_MAX_VERTICES = 10
 #: Largest number of optimal k-tuples the brute-force constants list.
 OPTIMAL_TUPLES_MAX = 100_000
 #: Largest number of partition completions inter_connection enumerates.
@@ -232,15 +230,15 @@ def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
     and correctly rounded division keeps their order and equalities; min,
     max and ties on phi are exact, and a subset attaining a value gives back
     its Fraction. ``part[j][S]`` is the least worst-block conductance over
-    partitions of S into j nonempty blocks, a minimum over the splits of S
-    (the block T holding S's lowest vertex, then part[j-1] of the rest).
+    partitions of S into j nonempty blocks, a layer of linalg's partition DP
+    (part[1] is phi itself).
     rho_hat is part[k] of all vertices, and rho the minimum of part[k] over
     all subsets, since a k-tuple partitions its union. rho_avr minimizes the
     float sum over blocks with phi <= rho_hat, then rechecks every split
     within _SUM_TOL of a subproblem's minimum with exact Fractions. Work is
-    O(k 3^n) in numpy; optimal_tuples backtracks over the blocks with
-    phi <= rho, visiting only partial tuples that complete, and raises
-    CapacityError past OPTIMAL_TUPLES_MAX tuples.
+    2(k - 1) passes over the (3^n - 1) / 2 splits; optimal_tuples backtracks
+    over the blocks with phi <= rho, visiting only partial tuples that
+    complete, and raises CapacityError past OPTIMAL_TUPLES_MAX tuples.
     """
     if g.n > BRUTEFORCE_MAX_N:
         raise CapacityError("brute-force constants support n <= %d (got %d)"
@@ -257,22 +255,14 @@ def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
         s = int(np.argmax(phi == value))
         return Fraction(int(cut[s]), int(vol[s]))
 
-    part = [np.full(full + 1, np.inf)]
-    part[0][0] = -np.inf  # only the empty set splits into 0 blocks
-    for _ in range(k):
-        prev = part[-1]
-        part.append(_min_over_splits(splits, lambda t, r: np.maximum(phi[t], prev[r])))
+    part = _partition_layers(splits, phi, k, -np.inf, np.maximum)
     rho_hat = part[k][full]
     rho = part[k].min()
 
     # Least float conductance sum over partitions of S into j blocks with
     # phi <= rho_hat, each of which has worst block exactly rho_hat.
     capped = np.where(phi <= rho_hat, phi, np.inf)
-    best_sum = [np.full(full + 1, np.inf)]
-    best_sum[0][0] = 0.0
-    for _ in range(k):
-        prev = best_sum[-1]
-        best_sum.append(_min_over_splits(splits, lambda t, r: capped[t] + prev[r]))
+    best_sum = _partition_layers(splits, capped, k, 0.0, np.add)
     exact_sums: dict[tuple[int, int], Fraction] = {}
 
     def exact_sum(s: int, j: int) -> Fraction:
@@ -320,7 +310,7 @@ def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
 
 
 # ---------------------------------------------------------------------------
-# Inter-connection constant (n <= 10)
+# Inter-connection constant (n <= 14, through the constants)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -355,41 +345,29 @@ def _phi_ic_exact(cut, vol, blocks, cores):
     leaving P_i minus its edges into Z_i, is cut(P_i) - cut(Z_i), relative to
     cut(P_i). Returns None when every S_i is empty (the pair carries no
     constraint). A zero boundary denominator can only occur with a
-    nonpositive numerator and is treated as 0 (empty constraint) or -inf.
+    nonpositive numerator and is treated as 0 (empty constraint) or -inf,
+    stood for by -10^9, below every real ratio (each is at least -m).
     """
-    best = None
-    has_s = False
-    for p, z in zip(blocks, cores):
-        if p == z:
-            continue
-        has_s = True
-        num = cut[p] - cut[z]
-        if cut[p] == 0:
-            ratio = Fraction(0) if num == 0 else None  # None stands for -inf
-        else:
-            ratio = Fraction(num, cut[p])
-        if ratio is not None and (best is None or ratio > best):
-            best = ratio
-    if not has_s:
+    ratios = [Fraction(cut[p] - cut[z], cut[p]) if cut[p] else
+              Fraction(0 if cut[z] == 0 else -10 ** 9)
+              for p, z in zip(blocks, cores) if p != z]
+    if not ratios:
         return None
-    phi_ic = best if best is not None else Fraction(-10 ** 9, 1)
-    return phi_ic, sum(Fraction(cut[p], vol[p]) for p in blocks) / len(blocks)
+    return max(ratios), sum(Fraction(cut[p], vol[p]) for p in blocks) / len(blocks)
 
 
 def inter_connection(g: Graph, k: int,
                      constants: PartitionConstants | None = None) -> InterConnection:
-    """Exhaustive inter-connection constant for n <= 10.
+    """Exhaustive inter-connection constant.
 
     Reads the optimal disjoint k-tuples from the constants' optimal_tuples
-    and enumerates all their compatible partition completions, in
-    itertools.product order, scoring each from the subset tables; raises
-    CapacityError if that product exceeds INTERCONNECT_MAX_WORK assignments.
+    (so n <= BRUTEFORCE_MAX_N) and enumerates all their compatible partition
+    completions, in itertools.product order, scoring each from the subset
+    tables; raises CapacityError if that product exceeds
+    INTERCONNECT_MAX_WORK assignments.
     ``constants``, when given, must be bruteforce_partition_constants(g, k);
     passing it saves that computation.
     """
-    if g.n > INTERCONNECT_MAX_VERTICES:
-        raise CapacityError("inter-connection supports n <= %d (got %d)"
-                            % (INTERCONNECT_MAX_VERTICES, g.n))
     if k < 2 or k > g.n:
         raise InputError("k must be in [2, n]")
     consts = constants if constants is not None else bruteforce_partition_constants(g, k)

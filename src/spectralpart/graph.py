@@ -159,11 +159,10 @@ def cut(g: Graph, s) -> int:
 def conductance(g: Graph, s) -> Fraction:
     """Exact cut(s) / volume(s); s must be nonempty."""
     mask = _as_mask(g, s)
-    vol = int(g.degrees[mask].sum())
+    vol = volume(g, mask)
     if vol == 0:
         raise InputError("conductance of an empty set is undefined")
-    c = int(np.count_nonzero(mask[g.edges[:, 0]] != mask[g.edges[:, 1]]))
-    return Fraction(c, vol)
+    return Fraction(cut(g, mask), vol)
 
 
 def _check_partition(g: Graph, p: Partition):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DegenerateError, InputError
-from .linalg import BRUTEFORCE_MAX_N, _min_over_splits, _split_blocks, _splits, rng_stream
+from .linalg import BRUTEFORCE_MAX_N, _partition_layers, _split_blocks, _splits, rng_stream
 
 #: Radius factor of the ball-restricted center refinement step.
 BALL_RADIUS_FACTOR = 1.0 / 3.0
@@ -74,10 +74,14 @@ class Clustering:
         return self.centers.shape[0]
 
 
+def _cost(pts: WeightedPoints, labels: np.ndarray, centers: np.ndarray) -> float:
+    diffs = pts.coords - centers[labels]
+    return float(np.sum(pts.weights * np.einsum("ij,ij->i", diffs, diffs)))
+
+
 def cost(pts: WeightedPoints, clustering: Clustering) -> float:
     """Recompute sum_i sum_{x in cluster i} w_x ||x - c_i||^2."""
-    diffs = pts.coords - clustering.centers[clustering.labels]
-    return float(np.sum(pts.weights * np.einsum("ij,ij->i", diffs, diffs)))
+    return _cost(pts, clustering.labels, clustering.centers)
 
 
 def _assign(pts: WeightedPoints, centers: np.ndarray) -> np.ndarray:
@@ -119,9 +123,7 @@ def lloyd_step(pts: WeightedPoints, clustering: Clustering) -> Clustering:
         labels[j] = i
         contrib[j] = -np.inf
     centers = _weighted_means(pts, labels, k, clustering.centers)
-    diffs = pts.coords - centers[labels]
-    new_cost = float(np.sum(pts.weights * np.einsum("ij,ij->i", diffs, diffs)))
-    return Clustering(labels=labels, centers=centers, cost=new_cost)
+    return Clustering(labels=labels, centers=centers, cost=_cost(pts, labels, centers))
 
 
 def _lloyd_to_fixpoint(pts: WeightedPoints, centers: np.ndarray, k: int) -> Clustering:
@@ -203,58 +205,55 @@ def optimal_cost_bruteforce(pts: WeightedPoints, k: int) -> tuple[float, Cluster
     """Exact optimal k-means cost by dynamic programming over point subsets.
 
     Supports n <= BRUTEFORCE_MAX_N (or k = 1 / k >= n in closed form). The
-    DP of bruteforce_partition_constants, O(k 3^n) work whatever the points,
+    constants' partition DP, k - 2 passes over the (3^n - 1) / 2 splits,
     scores a subset as one cluster by sq - |sum|^2 / w from its weight,
-    weighted-sum and weighted-square-norm tables (+inf when empty). The
-    first minimizing split of each backtracking step gives the clusters in
-    canonical first-use order; centers and cost are recomputed from them.
+    weighted-sum and weighted-square-norm tables. The first minimizing split
+    of each backtracking step gives the clusters in canonical first-use
+    order; centers and cost are recomputed from them.
     """
-    n, dim = pts.n, pts.dim
-    w = pts.weights
-    x = pts.coords
-    if k < 1:
+    return _optimal_clusterings(pts, (k,))[0]
+
+
+def _optimal_clusterings(pts: WeightedPoints, ks) -> list[tuple[float, Clustering]]:
+    """optimal_cost_bruteforce(pts, k) for each k of ``ks``, backtracked
+    from one set of DP layers."""
+    n, dim, w, x = pts.n, pts.dim, pts.weights, pts.coords
+    if min(ks) < 1:
         raise InputError("k must be >= 1")
-    if k >= n:
-        centers = x.copy()
-        return 0.0, Clustering(labels=np.arange(n, dtype=np.int64),
-                               centers=centers, cost=0.0)
-    if k == 1:
-        center = (w[:, None] * x).sum(axis=0) / w.sum()
-        diffs = x - center
-        c = float(np.sum(w * np.einsum("ij,ij->i", diffs, diffs)))
-        return c, Clustering(labels=np.zeros(n, dtype=np.int64),
-                             centers=center[None, :], cost=c)
-    if n > BRUTEFORCE_MAX_N:
-        raise CapacityError("brute force supports n <= %d (got %d)"
-                            % (BRUTEFORCE_MAX_N, n))
+    top = max((k for k in ks if k < n), default=1)
+    if top > 1:
+        if n > BRUTEFORCE_MAX_N:
+            raise CapacityError("brute force supports n <= %d (got %d)"
+                                % (BRUTEFORCE_MAX_N, n))
+        # Columns w, w x, w |x|^2 summed over each subset, one point at a time.
+        point_rows = np.column_stack([w, w[:, None] * x, w * np.einsum("ij,ij->i", x, x)])
+        tab = np.zeros((1 << n, dim + 2))
+        for v in range(n):
+            tab[1 << v:2 << v] = tab[:1 << v] + point_rows[v]
+        sums = tab[1:, 1:-1]
+        block = np.full(1 << n, np.inf)
+        block[1:] = tab[1:, -1] - np.einsum("ij,ij->i", sums, sums) / tab[1:, 0]
+        splits = _splits(n)
+        part = _partition_layers(splits, block, top - 1, 0.0, np.add)
 
-    # Columns w, w x, w |x|^2 summed over each subset, one point at a time.
-    point_rows = np.column_stack([w, w[:, None] * x, w * np.einsum("ij,ij->i", x, x)])
-    tab = np.zeros((1 << n, dim + 2))
-    for v in range(n):
-        tab[1 << v:2 << v] = tab[:1 << v] + point_rows[v]
-    sums = tab[1:, 1:-1]
-    block = np.full(1 << n, np.inf)
-    block[1:] = tab[1:, -1] - np.einsum("ij,ij->i", sums, sums) / tab[1:, 0]
-
-    splits = _splits(n)
-    part = [np.full(1 << n, np.inf), block]
-    part[0][0] = 0.0  # only the empty set splits into 0 clusters
-    for _ in range(2, k):
-        prev = part[-1]
-        part.append(_min_over_splits(splits, lambda t, r: block[t] + prev[r]))
-    labels = np.empty(n, dtype=np.int64)
-    rest = (1 << n) - 1
-    for b in range(k):
-        t = _split_blocks(splits, rest)
-        t = int(t[np.argmin(block[t] + part[k - 1 - b][rest ^ t])])
-        labels[((t >> np.arange(n)) & 1).astype(bool)] = b
-        rest ^= t
-
-    centers = _weighted_means(pts, labels, k, np.zeros((k, dim)))
-    diffs = x - centers[labels]
-    exact = max(0.0, float(np.sum(w * np.einsum("ij,ij->i", diffs, diffs))))
-    return exact, Clustering(labels=labels, centers=centers, cost=exact)
+    out = []
+    for k in ks:
+        labels = np.zeros(n, dtype=np.int64)
+        if k >= n:
+            labels, centers = np.arange(n, dtype=np.int64), x.copy()
+        elif k == 1:
+            centers = ((w[:, None] * x).sum(axis=0) / w.sum())[None, :]
+        else:
+            rest = (1 << n) - 1
+            for b in range(k):
+                t = _split_blocks(splits, rest)
+                t = int(t[np.argmin(block[t] + part[k - 1 - b][rest ^ t])])
+                labels[((t >> np.arange(n)) & 1).astype(bool)] = b
+                rest ^= t
+            centers = _weighted_means(pts, labels, k, np.zeros((k, dim)))
+        c = _cost(pts, labels, centers)
+        out.append((c, Clustering(labels=labels, centers=centers, cost=c)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -279,8 +278,7 @@ def separation_ratio(pts: WeightedPoints, k: int, seed: int) -> SeparationEstima
         raise InputError("separation needs k >= 2")
     if pts.n <= BRUTEFORCE_MAX_N:
         method = "bruteforce"
-        delta_k, _ = optimal_cost_bruteforce(pts, k)
-        delta_km1, _ = optimal_cost_bruteforce(pts, k - 1)
+        (delta_k, _), (delta_km1, _) = _optimal_clusterings(pts, (k, k - 1))
     else:
         method = "restarts"
         delta_k = best_of_orss(pts, k, seed).cost

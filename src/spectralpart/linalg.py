@@ -4,8 +4,8 @@ split tables of the subset dynamic program.
 Numerics are delegated to LAPACK through numpy; this module pins down the
 deterministic conventions everything downstream relies on: ascending
 eigenvalue order, a fixed eigenvector sign rule, and counter-based random
-streams that are replayable per (module, purpose). Both exact oracles share
-its min-over-splits engine over all 2^n subsets.
+streams that are replayable per (module, purpose). Every exact oracle
+reads its layered partition DP over all 2^n subsets.
 
 Tolerances used across the package live here as constants.
 """
@@ -150,6 +150,25 @@ def _min_over_splits(splits, value) -> np.ndarray:
     for s, t in splits:
         out[s] = value(t, s[:, None] ^ t).min(axis=1)
     return out
+
+
+def _partition_layers(splits, block: np.ndarray, k: int, empty: float,
+                      combine) -> list[np.ndarray]:
+    """``layers[j][S]``, j = 0..k: the least fold by the ufunc ``combine``
+    (np.add, np.maximum) of the ``block`` scores (infinite at the empty set)
+    over the partitions of subset S into j nonempty blocks. Layer 0 is
+    ``empty`` at the empty set, layer 1 is ``block`` itself, and each further
+    layer is one min-over-splits pass: k - 1 passes for k >= 1."""
+    def fold(t, r):
+        out = block[t]  # a fresh gather, so combine writes into it
+        return combine(out, prev[r], out=out)
+
+    layers = [np.full(len(block), np.inf), block]
+    layers[0][0] = empty
+    for _ in range(2, k + 1):
+        prev = layers[-1]
+        layers.append(_min_over_splits(splits, fold))
+    return layers
 
 
 def _split_blocks(splits, s: int) -> np.ndarray:

@@ -28,6 +28,12 @@ def ring_of_cliques(sizes):
     return Graph(starts[-1], edges)
 
 
+def triangles_with_hub13() -> Graph:
+    """Four triangles, each joined by one vertex to a hub vertex (k = 4)."""
+    tri = [(a + i, a + j) for a in range(0, 12, 3) for i, j in ((0, 1), (0, 2), (1, 2))]
+    return Graph(13, tri + [(0, 12), (3, 12), (6, 12), (9, 12)])
+
+
 def dense_laplacian(g: Graph) -> np.ndarray:
     """Dense normalized Laplacian I - D^{-1/2} A D^{-1/2}, built from the edge
     list alone so it can serve as an independent oracle."""

@@ -12,7 +12,7 @@ from spectralpart import cli, diagnostics
 from spectralpart.cli import main, parse_gen_spec
 from spectralpart.diagnostics import GapReport
 from spectralpart.errors import InputError
-from conftest import ring_of_cliques
+from conftest import ring_of_cliques, triangles_with_hub13
 
 
 def run_cli(args, capsys=None):
@@ -42,6 +42,16 @@ class TestGenSpec:
     def test_bad_spec_lists_grammar(self):
         with pytest.raises(InputError, match="ring:k="):
             parse_gen_spec("blob:x=1")
+
+    @pytest.mark.parametrize("spec", ["ring:k=3,size=5,b=2,seed=7",
+                                      "ring:k=3,size=5,b=2,k=4",
+                                      "sbm:sizes=5+5,pin=0.5,pout=0.1,pin=0.9"])
+    def test_unknown_or_repeated_key(self, spec, capsys):
+        with pytest.raises(InputError, match="bad generator spec"):
+            parse_gen_spec(spec)
+        assert main(["cluster", "--gen", spec, "--k", "3"]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["kind"] == "input"
 
 
 class TestGenerate:
@@ -362,7 +372,21 @@ class TestVerify:
                      "--out", str(out)]) == 0
         rep = load_report(out)
         assert rep["constants"]["rho"] == rep["constants"]["rho_hat"] == 0.25
-        assert rep["interconnection"] is None
+        assert rep["interconnection"] == {"degenerate": True, "rho": 0.25,
+                                          "rho_hat": 0.25}
+
+    def test_thirteen_vertex_hub_interconnection(self, tmp_path, capsys):
+        edge_file = tmp_path / "hub13.txt"
+        edge_file.write_text("".join("%d %d\n" % tuple(e)
+                                     for e in triangles_with_hub13().edges.tolist()))
+        out = tmp_path / "rep.json"
+        assert main(["verify", "--input", str(edge_file), "--k", "4",
+                     "--out", str(out)]) == 0
+        inter = load_report(out)["interconnection"]
+        assert inter["degenerate"] is False
+        assert (inter["rho"], inter["rho_hat"]) == (1 / 7, 3 / 11)
+        assert (inter["rho_p"], inter["kappa"]) == (2 / 3, 3.0)
+        assert inter["witness_partition"] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0]
 
     def test_capacity_error(self, tmp_path, capsys):
         edge_file = tmp_path / "big.txt"

@@ -15,7 +15,7 @@ from spectralpart import (CapacityError, EigenSystem, GapError, Graph,
                           run_theorem_checks, volume)
 from conftest import (complete_graph, cycle_graph, dense_laplacian,
                       disjoint_cliques, path_graph, random_connected_graph,
-                      ring_of_cliques)
+                      ring_of_cliques, triangles_with_hub13)
 
 
 def triangles_with_center():
@@ -282,15 +282,20 @@ def planted_ten():
 
 
 #: (graph, k, (rho, rho_hat, rho_avr), optimal_tuples, inter-connection) as
-#: computed by the recursive labelling scan; the inter-connection entry is
-#: None above INTERCONNECT_MAX_VERTICES, else (degenerate, rho_p, kappa,
-#: witness partition, witness tuple).
+#: computed by the recursive labelling scan (hub13 by the subset DP); the
+#: inter-connection entry is None where it is not pinned, else (degenerate,
+#: rho_p, kappa, witness partition, witness tuple).
 PARITY_PINS = {
     "hub10": (triangles_with_center, 3,
               (Fraction(1, 7), Fraction(1, 5), Fraction(17, 105)),
               ((0, 0, 0, 1, 1, 1, 2, 2, 2, -1),),
               (False, Fraction(1, 2), 2.0, [0, 0, 0, 1, 1, 1, 2, 2, 2, 0],
                [0, 0, 0, 1, 1, 1, 2, 2, 2, -1])),
+    "hub13": (triangles_with_hub13, 4,
+              (Fraction(1, 7), Fraction(3, 11), Fraction(27, 154)),
+              ((0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, -1),),
+              (False, Fraction(2, 3), 3.0, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0],
+               [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, -1])),
     "planted10": (planted_ten, 4,
                   (Fraction(1, 2), Fraction(1, 2), Fraction(5, 12)),
                   ((0, 0, 0, 1, 1, 1, 2, 2, 3, 3),),
@@ -381,9 +386,15 @@ class TestInterConnection:
         assert inter.rho_p is None
 
     def test_capacity(self):
-        g = path_graph(11)
+        g = path_graph(15)
         with pytest.raises(CapacityError):
             inter_connection(g, 3)
+
+    def test_work_capacity(self, monkeypatch):
+        # hub10's one optimal tuple leaves the hub free: 3 completions.
+        monkeypatch.setattr(diagnostics, "INTERCONNECT_MAX_WORK", 2)
+        with pytest.raises(CapacityError, match="3 assignments"):
+            inter_connection(triangles_with_center(), 3)
 
     def test_precomputed_constants_give_same_result(self):
         g = triangles_with_center()

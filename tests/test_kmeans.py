@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectralpart import kmeans
 from spectralpart import (CapacityError, Clustering, DegenerateError,
                           InputError, WeightedPoints, best_of_orss, cost,
                           lloyd_step, optimal_cost_bruteforce, orss_kmeans,
@@ -342,6 +343,21 @@ class TestSeparationRatio:
     def test_requires_k_at_least_two(self):
         with pytest.raises(InputError):
             separation_ratio(pts_1d([0.0, 1.0]), 1, seed=0)
+
+    def test_exact_path_equals_two_oracle_calls(self):
+        for name, p in oracle_point_sets():
+            for k in range(2, p.n + 1):  # k - 1 = 1 at k = 2; k >= n at k = n
+                est = separation_ratio(p, k, seed=0)
+                assert est.method == "bruteforce"
+                assert (est.delta_k, est.delta_km1) == \
+                    (optimal_cost_bruteforce(p, k)[0],
+                     optimal_cost_bruteforce(p, k - 1)[0]), (name, k)
+                both = kmeans._optimal_clusterings(p, (k, k - 1))
+                for j, (c, clus) in zip((k, k - 1), both):
+                    c1, clus1 = optimal_cost_bruteforce(p, j)
+                    assert c == c1 == clus.cost == clus1.cost, (name, j)
+                    assert np.array_equal(clus.labels, clus1.labels), (name, j)
+                    assert np.array_equal(clus.centers, clus1.centers), (name, j)
 
     @pytest.mark.parametrize("n", [13, 14])
     def test_exact_up_to_bruteforce_cap(self, n):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from spectralpart import InputError, gaussian_matrix, rng_stream, sym_eig
-from spectralpart.linalg import _splits
+from spectralpart import (InputError, WeightedPoints, bruteforce_partition_constants,
+                          gaussian_matrix, optimal_cost_bruteforce, rng_stream,
+                          separation_ratio, sym_eig)
+from spectralpart import linalg
+from spectralpart.linalg import _partition_layers, _splits
 from conftest import complete_graph, cycle_graph, dense_laplacian, path_graph
 
 
@@ -142,3 +145,59 @@ class TestSplits:
             for arr in (s, t):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0
+
+
+def set_partitions(items):
+    """Every partition of the list ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+class TestPartitionLayers:
+    @pytest.mark.parametrize("empty, combine, fold", [(0.0, np.add, sum),
+                                                       (-np.inf, np.maximum, max)])
+    def test_matches_enumeration(self, empty, combine, fold):
+        n, k = 6, 4
+        block = np.random.default_rng(3).random(1 << n)
+        block[0] = np.inf
+        layers = _partition_layers(_splits(n), block, k, empty, combine)
+        assert len(layers) == k + 1 and layers[1] is block
+        assert layers[0][0] == empty and np.all(layers[0][1:] == np.inf)
+        for s in range(1 << n):
+            want = [np.inf] * (k + 1)
+            for part in set_partitions([v for v in range(n) if s >> v & 1]):
+                if 1 < len(part) <= k:
+                    score = fold(block[sum(1 << v for v in b)] for b in part)
+                    want[len(part)] = min(want[len(part)], score)
+            for j in range(2, k + 1):
+                assert layers[j][s] == pytest.approx(want[j], rel=1e-12), (s, j)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Count the min-over-splits passes made over the split tables."""
+        calls = []
+        real = linalg._min_over_splits
+        monkeypatch.setattr(linalg, "_min_over_splits",
+                            lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_constants_make_two_passes_per_layer(self, passes, k):
+        bruteforce_partition_constants(cycle_graph(9), k)
+        assert len(passes) == 2 * (k - 1)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_separation_builds_one_dp(self, passes, k):
+        rng = np.random.default_rng(k)
+        pts = WeightedPoints(coords=rng.random((9, 2)), weights=1 + rng.random(9))
+        separation_ratio(pts, k, seed=0)
+        assert len(passes) == k - 2
+        del passes[:]
+        optimal_cost_bruteforce(pts, k)
+        assert len(passes) == k - 2
