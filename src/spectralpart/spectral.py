@@ -10,9 +10,10 @@ normalized Laplacian with the sparse Lanczos solver (ARPACK) on
 I + D^{-1/2} A D^{-1/2}; every eigen-consumer reads it. Two embedding routes
 are built on top: the exact embedding takes the k lowest of those
 eigenvectors, and the power iteration on I + D^{-1/2} A D^{-1/2}, with a QR
-after every matvec, approximates the same subspace using only sparse matvecs.
-scipy is imported inside the code that uses it, so importing the package
-loads only numpy.
+after every matvec, approximates the same subspace using only matvecs.
+scipy is imported only for graphs above BRUTEFORCE_MAX_N vertices (at or below
+it both run on a dense adjacency and spectrum solves densely), and only inside
+the code that uses it, so importing the package loads only numpy.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from .errors import GapError, InputError, NumericError
 from .graph import Graph
 from .kmeans import WeightedPoints
-from .linalg import (ORTHONORMALITY_TOL, RESIDUAL_RTOL, EigenSystem,
-                     _fix_signs, gaussian_matrix, rng_stream, sym_eig)
+from .linalg import (BRUTEFORCE_MAX_N, ORTHONORMALITY_TOL, RESIDUAL_RTOL,
+                     EigenSystem, _fix_signs, gaussian_matrix, rng_stream, sym_eig)
 
 #: A power-iteration block whose QR diagonal falls below this fraction of its
 #: largest entry has lost rank.
@@ -37,17 +38,22 @@ class LaplacianOps:
     """Matvec access to I - N and I + N for N = D^{-1/2} A D^{-1/2}.
 
     The two operators are exchangeable through apply_laplacian(x) +
-    apply_shifted(x) = 2x and are both symmetric.
+    apply_shifted(x) = 2x and are both symmetric. The adjacency is a dense
+    array for n <= BRUTEFORCE_MAX_N (no scipy import) and scipy CSR above.
     """
 
     def __init__(self, graph: Graph):
-        from scipy.sparse import csr_array
-
+        n = graph.n
         self.graph = graph
         self._inv_sqrt_d = 1.0 / np.sqrt(graph.degrees.astype(float))
-        self._adj = csr_array(
-            (np.ones(len(graph.indices)), graph.indices, graph.indptr),
-            shape=(graph.n, graph.n))
+        if n <= BRUTEFORCE_MAX_N:
+            self._adj = np.zeros((n, n))
+            self._adj[np.repeat(np.arange(n), graph.degrees), graph.indices] = 1.0
+        else:
+            from scipy.sparse import csr_array
+
+            self._adj = csr_array(
+                (np.ones(len(graph.indices)), graph.indices, graph.indptr), shape=(n, n))
 
     def _norm_adj(self, x: np.ndarray) -> np.ndarray:
         scale = self._inv_sqrt_d if x.ndim == 1 else self._inv_sqrt_d[:, None]
@@ -97,18 +103,18 @@ def spectrum(g: Graph, k: int) -> EigenSystem:
     largest eigenvalues theta of I + N through LaplacianOps matvecs, and
     lambda = 2 - theta; the start vector comes from the fixed stream
     ``rng_stream(0, "spectral", "spectrum")``, so the result is deterministic
-    per graph. Where ARPACK cannot run (k+1 >= n-1) the dense I - N goes
-    through sym_eig instead. Either way values are ascending, vectors follow
-    the sym_eig sign rule, and every pair must pass ||(I - N)v - lambda v|| <=
-    RESIDUAL_RTOL with columns orthonormal to ORTHONORMALITY_TOL, else
-    NumericError.
+    per graph. Where ARPACK cannot run (k+1 >= n-1), and at n <=
+    BRUTEFORCE_MAX_N (so small graphs load no scipy), sym_eig solves the dense
+    I - N instead. Either way values are ascending, vectors follow the sym_eig
+    sign rule, and every pair must pass ||(I - N)v - lambda v|| <= RESIDUAL_RTOL
+    with columns orthonormal to ORTHONORMALITY_TOL, else NumericError.
     """
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
     n = g.n
     pairs = min(k + 1, n)
     ops = LaplacianOps(g)
-    if pairs >= n - 1:
+    if pairs >= n - 1 or n <= BRUTEFORCE_MAX_N:
         full = sym_eig(ops.apply_laplacian(np.eye(n)))
         values = full.values[:pairs].copy()
         vectors = full.vectors[:, :pairs].copy()

@@ -28,6 +28,23 @@ def ring_of_cliques(sizes):
     return Graph(starts[-1], edges)
 
 
+def triangles_with_center() -> Graph:
+    """Three triangles plus a hub vertex attached to one vertex of each.
+
+    The best 3 disjoint sets are the triangles (max conductance 1/7), but any
+    3-way partition must absorb the hub and pays 1/5.
+    """
+    tri = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7), (6, 8), (7, 8)]
+    return Graph(10, tri + [(0, 9), (3, 9), (6, 9)])
+
+
+def planted_ten() -> Graph:
+    """Blocks {0,1,2}, {3,4,5}, {6,7}, {8,9}, one edge between consecutive
+    blocks and one chord."""
+    return Graph(10, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7), (8, 9),
+                      (2, 3), (5, 6), (7, 8), (9, 0), (1, 4)])
+
+
 def triangles_with_hub13() -> Graph:
     """Four triangles, each joined by one vertex to a hub vertex (k = 4)."""
     tri = [(a + i, a + j) for a in range(0, 12, 3) for i, j in ((0, 1), (0, 2), (1, 2))]

@@ -12,7 +12,7 @@ from spectralpart import cli, diagnostics
 from spectralpart.cli import main, parse_gen_spec
 from spectralpart.diagnostics import GapReport
 from spectralpart.errors import InputError
-from conftest import ring_of_cliques, triangles_with_hub13
+from conftest import ring_of_cliques, triangles_with_center, triangles_with_hub13
 
 
 def run_cli(args, capsys=None):
@@ -488,15 +488,39 @@ def test_thread_cap_applied_on_package_import():
     assert out.stdout.strip() == "3"
 
 
-def test_package_import_loads_no_scipy():
+def _scipy_loaded_after(commands):
+    """Run each CLI argv in turn in one fresh interpreter; after each, list
+    the loaded scipy modules (cumulative, so the first offender shows)."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys; import spectralpart, spectralpart.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    code = ("import json, sys; import spectralpart, spectralpart.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert spectralpart.cli.main(argv) == 0, argv\n"
+            "    print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    return [line != "[]" for line in out.stdout.splitlines()]
+
+
+def test_package_import_loads_no_scipy(tmp_path):
+    """Import alone, and verify and both cluster modes on a graph file of at
+    most 14 vertices, stay on numpy; above 14 vertices the spectrum loads
+    scipy (verify rejects such graphs before any solve)."""
+    small, large = tmp_path / "hub10.txt", tmp_path / "ring16.txt"
+    for path, graph in ((small, triangles_with_center()), (large, ring_of_cliques([4] * 4))):
+        path.write_text("".join("%d %d\n" % (u, v) for u, v in graph.edges.tolist()))
+
+    def commands(path):
+        out = ["--out", str(tmp_path / "rep.json")]
+        return [["verify", "--input", str(path), "--k", "3"] + out,
+                ["cluster", "--input", str(path), "--k", "3", "--mode", "exact"] + out,
+                ["cluster", "--input", str(path), "--k", "3", "--mode", "power"] + out]
+
+    assert _scipy_loaded_after(commands(small)) == [False] * 4
+    for control in commands(large)[1:]:
+        assert _scipy_loaded_after([control]) == [False, True]
 
 
 def test_all_names_resolve():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spectralpart import diagnostics
-from spectralpart import (CapacityError, EigenSystem, GapError, Graph,
+from spectralpart import (CapacityError, EigenSystem, GapError,
                           InputError, Partition, SpanCollapseError,
                           block_conductances, bruteforce_partition_constants,
                           characteristic_vectors, coeff_matrices, conductance,
@@ -14,19 +14,8 @@ from spectralpart import (CapacityError, EigenSystem, GapError, Graph,
                           gen_ring_of_cliques, gen_sbm, inter_connection,
                           run_theorem_checks, volume)
 from conftest import (complete_graph, cycle_graph, dense_laplacian,
-                      disjoint_cliques, path_graph, random_connected_graph,
-                      ring_of_cliques, triangles_with_hub13)
-
-
-def triangles_with_center():
-    """Three triangles plus a hub vertex attached to one vertex of each.
-
-    The best 3 disjoint sets are the triangles (max conductance 1/7), but any
-    3-way partition must absorb the hub and pays 1/5.
-    """
-    tri = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7), (6, 8), (7, 8)]
-    g = Graph(10, tri + [(0, 9), (3, 9), (6, 9)])
-    return g
+                      disjoint_cliques, path_graph, planted_ten, random_connected_graph,
+                      ring_of_cliques, triangles_with_center, triangles_with_hub13)
 
 
 def oracle_constants(g, k):
@@ -272,13 +261,6 @@ class TestBruteforceConstants:
                    set(consts.optimal_tuples))
             assert got == oracle_constants(g, k)
             assert len(set(consts.optimal_tuples)) == len(consts.optimal_tuples)
-
-
-def planted_ten():
-    """Blocks {0,1,2}, {3,4,5}, {6,7}, {8,9}, one edge between consecutive
-    blocks and one chord."""
-    return Graph(10, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7), (8, 9),
-                      (2, 3), (5, 6), (7, 8), (9, 0), (1, 4)])
 
 
 #: (graph, k, (rho, rho_hat, rho_avr), optimal_tuples, inter-connection) as

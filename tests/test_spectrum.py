@@ -1,12 +1,17 @@
-"""The sparse spectrum stage against the dense sym_eig oracle."""
+"""The spectrum stage against the dense sym_eig oracle, and its dense path
+(n <= BRUTEFORCE_MAX_N) against ARPACK."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 
-from spectralpart import (InputError, NumericError, gen_ring_of_cliques,
-                          gen_sbm, projection_distance, spectrum, sym_eig)
-from conftest import complete_graph, dense_laplacian, disjoint_cliques, path_graph
+from spectralpart import (EigenSystem, InputError, NumericError, gen_ring_of_cliques,
+                          gen_sbm, projection_distance, spectral, spectrum, sym_eig)
+from spectralpart.linalg import BRUTEFORCE_MAX_N
+from conftest import (complete_graph, dense_laplacian, disjoint_cliques, path_graph,
+                      planted_ten, random_connected_graph, ring_of_cliques,
+                      triangles_with_center)
 
 VALUE_TOL = 1e-10
 PROJECTOR_TOL = 1e-8
@@ -53,12 +58,17 @@ def test_zero_multiplicity_of_disjoint_cliques():
     assert eig.values[5] == pytest.approx(4 / 3)
 
 
-@pytest.mark.parametrize("make, k", [(lambda: complete_graph(4), 2),
-                                     (lambda: path_graph(5), 3),
-                                     (lambda: complete_graph(3), 3)])
+@pytest.mark.parametrize("make, k", [
+    (lambda: complete_graph(4), 2),
+    (lambda: path_graph(5), 3),
+    (lambda: complete_graph(3), 3),
+    # n <= BRUTEFORCE_MAX_N with k+1 < n-1: dense by the size rule alone.
+    pytest.param(lambda: path_graph(BRUTEFORCE_MAX_N), 2, id="path14-2"),
+    pytest.param(triangles_with_center, 3, id="hub10-3"),
+])
 def test_tiny_graphs_take_the_dense_branch(monkeypatch, make, k):
     def no_arpack(*args, **kwargs):
-        raise AssertionError("ARPACK called where k+1 >= n-1")
+        raise AssertionError("ARPACK called at n <= BRUTEFORCE_MAX_N or k+1 >= n-1")
 
     monkeypatch.setattr(sparse_linalg, "eigsh", no_arpack)
     assert_matches_oracle(make(), k)
@@ -73,8 +83,72 @@ def test_small_graph_above_the_rule_uses_arpack(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sparse_linalg, "eigsh", counting)
-    assert_matches_oracle(path_graph(6), 2)
+    assert_matches_oracle(path_graph(BRUTEFORCE_MAX_N + 2), 2)
     assert calls == [3]
+
+
+def arpack_reference(g, pairs):
+    """Lowest eigenpairs of the sparse normalized Laplacian straight from
+    ARPACK: one more than ``pairs`` where n allows, so a cut at ``pairs`` can
+    be tested for a gap."""
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    adj = sparse.csr_array((np.ones(2 * g.m), (np.r_[u, v], np.r_[v, u])), shape=(g.n, g.n))
+    inv_sqrt_d = sparse.diags_array(1.0 / np.sqrt(adj.sum(axis=1)))
+    lap = sparse.eye_array(g.n) - inv_sqrt_d @ adj @ inv_sqrt_d
+    want = min(pairs + 1, g.n - 1)
+    values, vectors = sparse_linalg.eigsh(lap, k=want, which="SA", tol=0,
+                                          v0=np.linspace(1.0, 2.0, g.n))
+    order = np.argsort(values)
+    return values[order], vectors[:, order]
+
+
+def _random_small_graphs(count, seed):
+    rng = np.random.default_rng(seed)
+    graphs = []
+    while len(graphs) < count:
+        g = random_connected_graph(int(rng.integers(8, BRUTEFORCE_MAX_N + 1)), 0.35, rng)
+        if g is not None:
+            graphs.append((g, int(rng.integers(2, 5))))
+    return graphs
+
+
+@pytest.mark.parametrize("g, k", [
+    (triangles_with_center(), 3),
+    (ring_of_cliques([3, 3, 3]), 3),
+    (ring_of_cliques([4, 4, 3]), 3),
+    (planted_ten(), 4),
+] + _random_small_graphs(20, seed=11))
+def test_dense_path_matches_arpack(g, k):
+    """At n <= BRUTEFORCE_MAX_N spectrum and the oracle both run sym_eig, so
+    ARPACK on the sparse matrix is the independent check."""
+    eig = spectrum(g, k)
+    values, vectors = arpack_reference(g, eig.n)
+    assert np.abs(eig.values - values[:eig.n]).max() <= VALUE_TOL
+    for cut in range(1, eig.n + 1):
+        if cut < len(values) and values[cut] - values[cut - 1] > GAP_FOR_PROJECTOR:
+            assert projection_distance(eig.vectors[:, :cut], vectors[:, :cut]) <= PROJECTOR_TOL
+
+
+def test_dense_path_keeps_the_gates(monkeypatch):
+    real = spectral.sym_eig
+
+    def shifted_values(matrix):
+        full = real(matrix)
+        return EigenSystem(values=full.values + 1e-3, vectors=full.vectors)
+
+    def repeated_vector(matrix):
+        full = real(matrix)
+        values, vectors = full.values.copy(), full.vectors.copy()
+        values[1], vectors[:, 1] = values[0], vectors[:, 0]
+        return EigenSystem(values=values, vectors=vectors)
+
+    g = triangles_with_center()
+    monkeypatch.setattr(spectral, "sym_eig", shifted_values)
+    with pytest.raises(NumericError, match="residual"):
+        spectrum(g, 3)
+    monkeypatch.setattr(spectral, "sym_eig", repeated_vector)
+    with pytest.raises(NumericError, match="orthonormal"):
+        spectrum(g, 3)
 
 
 def test_two_calls_bit_identical():
