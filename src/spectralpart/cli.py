@@ -1,14 +1,15 @@
 """Command-line interface: cluster, diagnose, generate, verify.
 
-Reports are JSON with a fixed field order and schema tag "spectral-part/4";
+Reports are JSON with a fixed field order and schema tag "spectral-part/5";
 rerunning a subcommand with the same inputs and seed reproduces the report
 byte for byte except for the "timings" section. The "config" section echoes
 the subcommand and its parsed flags in flag order; "gap" and "checks" are the
 GapReport and CheckRecord dataclasses, field for field. "gap" is computed
 from the reference partition (planted, else recovered) at every n; the exact
 small-graph constants come only from verify. Only cluster takes
---mode/--eps/--delta, and only cluster and verify take --restarts; generate
-refuses a --k that differs from the generator's block count. Exit
+--mode/--eps/--delta, and only cluster and verify take --restarts; every
+subcommand refuses a --k that differs from the block count of the partition
+that comes with the graph (--gen or --partition). Exit
 codes: 0 success or all applicable checks passed, 1 an applicable check
 failed, 2 input error, 3 numeric or capacity error.
 
@@ -34,7 +35,7 @@ from .diagnostics import CHECK_TOL, _record
 from .errors import CapacityError, InputError, NumericError
 from .kmeans import DEFAULT_RESTARTS, best_of_orss, optimal_cost_bruteforce
 
-SCHEMA = "spectral-part/4"
+SCHEMA = "spectral-part/5"
 
 _EXIT_CHECK_FAILED = 1
 _EXIT_INPUT = 2
@@ -116,10 +117,14 @@ def _load_graph(args):
     if args.gen:
         spec = parse_gen_spec(args.gen)
         generate = G.gen_ring_of_cliques if spec[0] == "ring" else G.gen_sbm
-        return generate(*spec[1:], args.seed)
-    g = _read_file(G.read_edge_list, args.input)
-    partition = getattr(args, "partition", None)
-    return g, (_read_file(G.read_partition, partition, g.n) if partition else None)
+        g, part = generate(*spec[1:], args.seed)
+    else:
+        g = _read_file(G.read_edge_list, args.input)
+        path = getattr(args, "partition", None)
+        part = _read_file(G.read_partition, path, g.n) if path else None
+    if part is not None and part.k != args.k:
+        raise InputError("partition has %d blocks, --k is %d" % (part.k, args.k))
+    return g, part
 
 
 def _config_echo(args):
@@ -168,8 +173,7 @@ def cmd_cluster(args) -> int:
         lam_k1 = float(eig.values[args.k])
         steps = S.required_power_steps(g.n, args.k, args.eps, args.delta, lam_k, lam_k1)
         emb = S.power_embedding(g, args.k, steps, args.seed)
-        power_info = {"steps": steps, "seed": args.seed, "eps": args.eps,
-                      "delta": args.delta, "lambda_source": "sparse-eigensolve"}
+        power_info = {"steps": steps, "seed": args.seed, "eps": args.eps, "delta": args.delta}
     timings["embedding"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -210,15 +214,11 @@ def cmd_diagnose(args) -> int:
     g, planted = _load_graph(args)
     if planted is None:
         raise InputError("diagnose needs a reference partition (--gen or --partition)")
-    if planted.k != args.k:
-        raise InputError("reference partition has %d blocks, --k is %d"
-                         % (planted.k, args.k))
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     emb, eig = S.exact_embedding(g, args.k)
-    records = D.run_theorem_checks(g, args.k, planted, seed=args.seed, exact=(emb, eig))
-    gap = D.gap_report(g, args.k, planted, eig)
+    gap, records = D.run_theorem_checks(g, args.k, planted, emb, eig, args.seed)
     timings["checks"] = time.perf_counter() - t0
 
     report = {
@@ -239,8 +239,6 @@ def cmd_generate(args) -> int:
     g, planted = _load_graph(args)
     if planted is None:
         raise InputError("generate requires --gen")
-    if planted.k != args.k:
-        raise InputError("generator makes %d blocks, --k is %d" % (planted.k, args.k))
     G.write_edge_list(g, args.out)
     part_path = args.out + ".part"
     G.write_partition(planted, part_path)
@@ -270,7 +268,7 @@ def cmd_verify(args) -> int:
     timings["constants"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    inter = D.inter_connection(g, k, constants=consts)
+    inter = D.inter_connection(g, k, consts)
     inter_section = {"degenerate": inter.degenerate, "rho": inter.rho,
                      "rho_hat": inter.rho_hat}
     if not inter.degenerate:

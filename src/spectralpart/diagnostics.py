@@ -28,11 +28,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, GapError, InputError, NumericError, SpanCollapseError
-from .graph import (Graph, Partition, block_conductances, match_partitions,
-                    sym_diff_volume, volume)
+from .graph import Graph, Partition, block_conductances, volume
 from .kmeans import separation_ratio
 from .linalg import BRUTEFORCE_MAX_N, EigenSystem, _partition_layers, _split_blocks, _splits
-from .spectral import Embedding, exact_embedding
+from .spectral import Embedding
 
 #: Absolute slack added on top of every bound before calling a check failed.
 CHECK_TOL = 1e-9
@@ -45,7 +44,6 @@ INTERCONNECT_MAX_WORK = 1_000_000
 
 _GAP_SCALE = 20 ** 4          # psi = _GAP_SCALE * k^3 / delta
 _ROW_GRAM_SCALE = 10 ** 4     # psi = _ROW_GRAM_SCALE * k^3 / eps^2
-_VOLUME_BOUND_SCALE = 10 ** 3  # volume bound alpha * delta / (10^3 k)
 
 
 # ---------------------------------------------------------------------------
@@ -356,25 +354,22 @@ def _phi_ic_exact(cut, vol, blocks, cores):
     return max(ratios), sum(Fraction(cut[p], vol[p]) for p in blocks) / len(blocks)
 
 
-def inter_connection(g: Graph, k: int,
-                     constants: PartitionConstants | None = None) -> InterConnection:
-    """Exhaustive inter-connection constant.
+def inter_connection(g: Graph, k: int, constants: PartitionConstants) -> InterConnection:
+    """Exhaustive inter-connection constant from ``constants`` =
+    bruteforce_partition_constants(g, k).
 
-    Reads the optimal disjoint k-tuples from the constants' optimal_tuples
-    (so n <= BRUTEFORCE_MAX_N) and enumerates all their compatible partition
+    Reads the optimal disjoint k-tuples from constants.optimal_tuples (so n <=
+    BRUTEFORCE_MAX_N) and enumerates all their compatible partition
     completions, in itertools.product order, scoring each from the subset
     tables; raises CapacityError if that product exceeds
     INTERCONNECT_MAX_WORK assignments.
-    ``constants``, when given, must be bruteforce_partition_constants(g, k);
-    passing it saves that computation.
     """
     if k < 2 or k > g.n:
         raise InputError("k must be in [2, n]")
-    consts = constants if constants is not None else bruteforce_partition_constants(g, k)
-    if consts.rho_hat_exact == consts.rho_exact:
-        return InterConnection(degenerate=True, rho=consts.rho, rho_hat=consts.rho_hat)
+    if constants.rho_hat_exact == constants.rho_exact:
+        return InterConnection(degenerate=True, rho=constants.rho, rho_hat=constants.rho_hat)
 
-    tuples = consts.optimal_tuples
+    tuples = constants.optimal_tuples
     work = sum(k ** sum(1 for t in tup if t < 0) for tup in tuples)
     if work > INTERCONNECT_MAX_WORK:
         raise CapacityError("inter-connection enumeration too large (%d assignments)" % work)
@@ -396,14 +391,14 @@ def inter_connection(g: Graph, k: int,
                 best = (scored, tup, free, combo)
 
     if best is None:
-        return InterConnection(degenerate=True, rho=consts.rho, rho_hat=consts.rho_hat)
+        return InterConnection(degenerate=True, rho=constants.rho, rho_hat=constants.rho_hat)
     (rho_p, avg), tuple_labels, free, combo = best
     part_labels = np.array(tuple_labels)
     part_labels[free] = combo
     witness_p = Partition(k, part_labels)
     witness_z = Partition(k, np.asarray(tuple_labels), allow_uncovered=True)
     return InterConnection(
-        degenerate=False, rho=consts.rho, rho_hat=consts.rho_hat,
+        degenerate=False, rho=constants.rho, rho_hat=constants.rho_hat,
         rho_p=float(rho_p), rho_p_exact=rho_p,
         kappa=float(1 / (1 - rho_p)), rho_avr_tilde=float(avg),
         witness_partition=witness_p, witness_tuple=witness_z)
@@ -440,28 +435,25 @@ def _record(name, lhs, rhs, hypothesis_met, note="") -> CheckRecord:
                        slack=rhs - lhs, note=note)
 
 
-def run_theorem_checks(g: Graph, k: int, planted: Partition,
-                       clustered: Partition | None = None,
-                       alpha: float = 1.1, seed: int = 0,
-                       exact: tuple[Embedding, EigenSystem] | None = None
-                       ) -> list[CheckRecord]:
+def run_theorem_checks(g: Graph, k: int, planted: Partition, emb: Embedding,
+                       eig: EigenSystem, seed: int) -> tuple[GapReport, list[CheckRecord]]:
     """Measure every structural inequality against the reference partition.
 
-    Emits records, in a fixed order, for: per-block indicator-vs-projection
-    closeness (unconditional); eigenvector-vs-indicator-mix closeness; row
-    Gram near-orthonormality of the inverse coefficients; the predicted-center
-    cost and the optimal-cost estimate it bounds; the merge-cost floor for
-    k-1 clusters; a desk-scale separation-ratio surrogate; and, when a
-    clustered partition is supplied, matched volume-difference and conductance
-    bounds at approximation factor ``alpha``.
+    ``(emb, eig)`` must be exact_embedding(g, k), and ``seed`` seeds the
+    k-means restarts of separation_ratio. Emits records, in a fixed order,
+    for: per-block indicator-vs-projection closeness (unconditional);
+    eigenvector-vs-indicator-mix closeness; row Gram near-orthonormality of
+    the inverse coefficients; the predicted-center cost and the optimal-cost
+    estimate it bounds; the merge-cost floor for k-1 clusters; and a
+    desk-scale separation-ratio surrogate. The paper's recovery bound for
+    the clustering itself is not a record here.
 
-    All gap-dependent bounds read psi, delta and delta_clamped from
-    gap_report(g, k, planted, eig), so they use the reference partition's own
-    average conductance, the exact quantity they are proved from; a
-    lambda_{k+1} below 1e-12 raises its GapError. ``exact``, when given, must
-    be exact_embedding(g, k); passing it saves a second eigensolve.
+    Returns ``(gap, records)``, where gap = gap_report(g, k, planted, eig)
+    supplies psi, delta and delta_clamped to every gap-dependent bound, so
+    they use the reference partition's own average conductance, the exact
+    quantity they are proved from; a lambda_{k+1} below 1e-12 raises its
+    GapError.
     """
-    emb, eig = exact if exact is not None else exact_embedding(g, k)
     gap = gap_report(g, k, planted, eig)
     psi, delta, delta_clamped = gap.psi, gap.delta, gap.delta_clamped
     gbar = characteristic_vectors(g, planted)
@@ -532,24 +524,4 @@ def run_theorem_checks(g: Graph, k: int, planted: Partition,
     # Desk-scale surrogate for the separation needed by the seeded clustering.
     records.append(_record("separation_ratio_surrogate", sep.ratio, 1e-3,
                            hyp_gram, sep_note))
-
-    if clustered is not None:
-        hyp_rec = (not delta_clamped) and k >= 3
-        pi = match_partitions(g, clustered, planted)
-        bound_factor = alpha * delta / (_VOLUME_BOUND_SCALE * k)
-        rec_note = psi_note + "; alpha=%.3g" % alpha + \
-            ("; delta clamped" if delta_clamped else "")
-        for i in range(k):
-            target = planted.labels == pi[i]
-            lhs = float(sym_diff_volume(g, clustered.labels == i, target))
-            rhs = bound_factor * float(volume(g, target))
-            records.append(_record("recovered_volume_diff[%d]" % i, lhs, rhs,
-                                   hyp_rec, rec_note))
-        clustered_phis = block_conductances(g, clustered)
-        for i in range(k):
-            phi_target = phis[pi[i]]
-            lhs = float(clustered_phis[i])
-            rhs = (1.0 + 2.0 * bound_factor) * phi_target + 2.0 * bound_factor
-            records.append(_record("recovered_conductance[%d]" % i, lhs, rhs,
-                                   hyp_rec, rec_note))
-    return records
+    return gap, records

@@ -163,15 +163,16 @@ def required_power_steps(n: int, k: int, eps: float, delta: float,
 
     Evaluates ceil(ln(8nk / (eps delta)) / ln(1/gamma)) for the convergence
     ratio gamma = (2 - lambda_{k+1}) / (2 - lambda_k), clamped below at 1.
-    Requires a spectral gap lambda_k < lambda_{k+1}.
+    spectrum certifies each eigenvalue only to within RESIDUAL_RTOL, so a gap
+    lambda_{k+1} - lambda_k of at most 2 RESIDUAL_RTOL raises GapError.
     """
     if n < 1 or k < 1:
         raise InputError("n and k must be positive")
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise InputError("eps and delta must lie in (0, 1)")
-    if lambda_k1 <= lambda_k:
-        raise GapError("no spectral gap: lambda_k=%.6g >= lambda_{k+1}=%.6g"
-                       % (lambda_k, lambda_k1))
+    if lambda_k1 - lambda_k <= 2 * RESIDUAL_RTOL:
+        raise GapError("no spectral gap: lambda_{k+1} - lambda_k = %.3g is within "
+                       "eigensolver accuracy (%.3g)" % (lambda_k1 - lambda_k, 2 * RESIDUAL_RTOL))
     gamma = (2.0 - lambda_k1) / (2.0 - lambda_k)
     if gamma <= 0.0:
         return 1

@@ -241,7 +241,7 @@ def test_08c_interconnection_bounds():
     k = 3
     applicable = 0
     for g in _applicable_instances():
-        inter = inter_connection(g, k)
+        inter = inter_connection(g, k, bruteforce_partition_constants(g, k))
         if inter.degenerate:
             continue
         applicable += 1

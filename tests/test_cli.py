@@ -116,7 +116,7 @@ class TestCluster:
                      "--mode", "exact", "--seed", "1", "--out", str(out)])
         assert code == 0
         rep = load_report(out)
-        assert rep["schema"] == "spectral-part/4"
+        assert rep["schema"] == "spectral-part/5"
         assert rep["graph"] == {"n": 60, "m": 573}
         assert rep["planted_match"]["relative_sym_diff_volume"] == [0.0, 0.0, 0.0]
 
@@ -128,7 +128,6 @@ class TestCluster:
         assert code == 0
         rep = load_report(out)
         assert rep["power"]["steps"] >= 1
-        assert rep["power"]["lambda_source"] == "sparse-eigensolve"
         assert len(rep["eigenvalues"]) == 4
         assert rep["gap"]["reference"] == "planted"
 
@@ -167,6 +166,15 @@ class TestCluster:
 
     def test_k_validation(self, capsys):
         assert main(["cluster", "--gen", "ring:k=2,size=3,b=1", "--k", "1"]) == 2
+
+    def test_mismatched_k_rejected_before_solving(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectrum solved")
+
+        monkeypatch.setattr(cli.S, "exact_embedding", refuse)
+        assert main(["cluster", "--gen", "ring:k=4,size=4,b=1", "--k", "2"]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "input" and "--k" in err["message"]
 
     def test_power_mode_needs_k_below_n(self, tmp_path, capsys):
         edge_file = tmp_path / "p3.txt"
@@ -215,9 +223,24 @@ class TestCluster:
         assert err["message"].startswith(str(bad) + ": cannot read: ")
         assert reason in err["message"]
 
-    def test_no_spectral_gap_power_mode(self, capsys):
+    def test_power_mode_tie_within_solver_accuracy(self, tmp_path):
+        """hub10 has lambda_2 = lambda_3; the computed pair lies 3.5e-16 apart,
+        which once asked for 5.4e16 power steps. The run must refuse at once."""
+        edge_file = tmp_path / "hub10.txt"
+        edge_file.write_text("".join("%d %d\n" % (u, v)
+                                     for u, v in triangles_with_center().edges.tolist()))
+        out = subprocess.run([sys.executable, "-m", "spectralpart.cli", "cluster",
+                              "--input", str(edge_file), "--k", "2", "--mode", "power"],
+                             env=_src_env(), capture_output=True, text=True, timeout=10)
+        assert out.returncode == 3
+        assert json.loads(out.stdout)["error"]["kind"] == "numeric"
+
+    def test_no_spectral_gap_power_mode(self, tmp_path, capsys):
         # complete graph: lambda_k == lambda_{k+1}, power mode must refuse
-        code = main(["cluster", "--gen", "sbm:sizes=4+4,pin=1.0,pout=1.0",
+        edge_file = tmp_path / "k8.txt"
+        edge_file.write_text("".join("%d %d\n" % (u, v)
+                                     for u in range(8) for v in range(u + 1, 8)))
+        code = main(["cluster", "--input", str(edge_file),
                      "--k", "3", "--mode", "power", "--seed", "0"])
         assert code == 3
         err = json.loads(capsys.readouterr().out)
@@ -475,12 +498,18 @@ def test_gap_needs_no_bruteforce_scan(tmp_path, capsys, monkeypatch, command):
                  "--out", str(tmp_path / "rep.json")]) == 0
 
 
-def test_thread_cap_applied_on_package_import():
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["SPECTRAL_PART_THREADS"] = "3"
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_thread_cap_applied_on_package_import():
+    env = {k: v for k, v in _src_env().items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["SPECTRAL_PART_THREADS"] = "3"
     code = ("import sys, os; assert 'numpy' not in sys.modules; import spectralpart; "
             "print(os.environ['OPENBLAS_NUM_THREADS'])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -491,26 +520,25 @@ def test_thread_cap_applied_on_package_import():
 def _scipy_loaded_after(commands):
     """Run each CLI argv in turn in one fresh interpreter; after each, list
     the loaded scipy modules (cumulative, so the first offender shows)."""
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import json, sys; import spectralpart, spectralpart.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert spectralpart.cli.main(argv) == 0, argv\n"
             "    print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=_src_env(),
                          capture_output=True, text=True, timeout=120, check=True)
     return [line != "[]" for line in out.stdout.splitlines()]
 
 
 def test_package_import_loads_no_scipy(tmp_path):
-    """Import alone, and verify and both cluster modes on a graph file of at
-    most 14 vertices, stay on numpy; above 14 vertices the spectrum loads
-    scipy (verify rejects such graphs before any solve)."""
+    """Import alone, and verify, both cluster modes and diagnose on a graph
+    file of at most 14 vertices, stay on numpy; above 14 vertices the spectrum
+    loads scipy (verify rejects such graphs before any solve)."""
     small, large = tmp_path / "hub10.txt", tmp_path / "ring16.txt"
     for path, graph in ((small, triangles_with_center()), (large, ring_of_cliques([4] * 4))):
         path.write_text("".join("%d %d\n" % (u, v) for u, v in graph.edges.tolist()))
+    part = tmp_path / "hub10.part"
+    part.write_text("".join("%d %d\n" % vb for vb in enumerate([0, 0, 0, 1, 1, 1, 2, 2, 2, 0])))
 
     def commands(path):
         out = ["--out", str(tmp_path / "rep.json")]
@@ -518,7 +546,9 @@ def test_package_import_loads_no_scipy(tmp_path):
                 ["cluster", "--input", str(path), "--k", "3", "--mode", "exact"] + out,
                 ["cluster", "--input", str(path), "--k", "3", "--mode", "power"] + out]
 
-    assert _scipy_loaded_after(commands(small)) == [False] * 4
+    diagnose = ["diagnose", "--input", str(small), "--partition", str(part), "--k", "3",
+                "--out", str(tmp_path / "rep.json")]
+    assert _scipy_loaded_after(commands(small) + [diagnose]) == [False] * 5
     for control in commands(large)[1:]:
         assert _scipy_loaded_after([control]) == [False, True]
 

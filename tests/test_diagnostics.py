@@ -206,7 +206,7 @@ class TestGapReport:
         with pytest.raises(GapError):
             gap_report(g, 2, p, eig)  # lambda_3 = 0: three components
         with pytest.raises(GapError):
-            run_theorem_checks(g, 2, p)
+            run_theorem_checks(g, 2, p, *exact_embedding(g, 2), seed=0)
 
     def test_block_count_mismatch(self, two_triangles_bridge):
         g, p = two_triangles_bridge
@@ -324,7 +324,7 @@ def test_optimal_tuples_in_labelling_order(g, k):
 class TestInterConnection:
     def test_triangles_with_center(self):
         g = triangles_with_center()
-        inter = inter_connection(g, 3)
+        inter = inter_connection(g, 3, bruteforce_partition_constants(g, 3))
         assert not inter.degenerate
         assert inter.rho == pytest.approx(1 / 7)
         assert inter.rho_hat == pytest.approx(1 / 5)
@@ -363,20 +363,16 @@ class TestInterConnection:
 
     def test_degenerate_marker(self, two_triangles_bridge):
         g, _ = two_triangles_bridge
-        inter = inter_connection(g, 2)
+        inter = inter_connection(g, 2, bruteforce_partition_constants(g, 2))
         assert inter.degenerate
         assert inter.rho_p is None
 
-    def test_capacity(self):
-        g = path_graph(15)
-        with pytest.raises(CapacityError):
-            inter_connection(g, 3)
-
     def test_work_capacity(self, monkeypatch):
         # hub10's one optimal tuple leaves the hub free: 3 completions.
+        g = triangles_with_center()
         monkeypatch.setattr(diagnostics, "INTERCONNECT_MAX_WORK", 2)
         with pytest.raises(CapacityError, match="3 assignments"):
-            inter_connection(triangles_with_center(), 3)
+            inter_connection(g, 3, bruteforce_partition_constants(g, 3))
 
     def test_precomputed_constants_give_same_result(self):
         g = triangles_with_center()
@@ -384,19 +380,24 @@ class TestInterConnection:
         assert (consts.rho_exact, consts.rho_hat_exact, consts.rho_avr_exact) == \
             (Fraction(1, 7), Fraction(1, 5), Fraction(17, 105))
         assert consts.optimal_tuples == ((0, 0, 0, 1, 1, 1, 2, 2, 2, -1),)
-        for inter in (inter_connection(g, 3), inter_connection(g, 3, constants=consts)):
-            assert (inter.rho, inter.rho_hat) == (consts.rho, consts.rho_hat)
-            assert inter.rho_p_exact == Fraction(1, 2)
-            assert inter.kappa == 2.0
-            assert inter.rho_avr_tilde == float(Fraction(17, 105))
-            assert inter.witness_partition.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 0]
-            assert inter.witness_tuple.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, -1]
+        inter = inter_connection(g, 3, consts)
+        assert (inter.rho, inter.rho_hat) == (consts.rho, consts.rho_hat)
+        assert inter.rho_p_exact == Fraction(1, 2)
+        assert inter.kappa == 2.0
+        assert inter.rho_avr_tilde == float(Fraction(17, 105))
+        assert inter.witness_partition.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 0]
+        assert inter.witness_tuple.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, -1]
+
+
+def _checks(g, k, p, seed):
+    """run_theorem_checks on the exact embedding of g."""
+    return run_theorem_checks(g, k, p, *exact_embedding(g, k), seed)
 
 
 class TestRunTheoremChecks:
     def test_disjoint_cliques_all_applicable_pass(self):
         g, p = disjoint_cliques(3, 4)
-        records = run_theorem_checks(g, 3, p, seed=0)
+        _, records = _checks(g, 3, p, 0)
         assert all(r.passed for r in records if r.hypothesis_met)
         by_name = {r.name: r for r in records}
         # infinite gap: closeness bounds collapse to ~0 and still hold
@@ -407,7 +408,7 @@ class TestRunTheoremChecks:
 
     def test_ring_instance_all_applicable_pass(self):
         g, p = gen_ring_of_cliques(3, 50, 1, seed=3)
-        records = run_theorem_checks(g, 3, p, seed=0)
+        _, records = _checks(g, 3, p, 0)
         assert all(r.passed for r in records if r.hypothesis_met)
         names = [r.name for r in records]
         assert names[:3] == ["indicator_vs_projection[%d]" % i for i in range(3)]
@@ -416,7 +417,7 @@ class TestRunTheoremChecks:
     def test_low_gap_clique_not_applicable(self):
         g = complete_graph(12)
         p = Partition(3, [0] * 4 + [1] * 4 + [2] * 4)
-        records = run_theorem_checks(g, 3, p, seed=0)
+        _, records = _checks(g, 3, p, 0)
         by_name = {r.name: r for r in records}
         assert not by_name["eigenvector_vs_indicator_mix[0]"].hypothesis_met
         assert not by_name["center_row_norm[0]"].hypothesis_met
@@ -425,26 +426,15 @@ class TestRunTheoremChecks:
             rec = by_name["indicator_vs_projection[%d]" % i]
             assert rec.hypothesis_met and rec.passed
 
-    def test_clustered_records(self):
-        g, p = gen_ring_of_cliques(3, 20, 1, seed=4)
-        records = run_theorem_checks(g, 3, p, clustered=p, alpha=1.0, seed=0)
-        by_name = {r.name: r for r in records}
-        for i in range(3):
-            vol_rec = by_name["recovered_volume_diff[%d]" % i]
-            assert vol_rec.lhs == 0.0 and vol_rec.passed
-            phi_rec = by_name["recovered_conductance[%d]" % i]
-            assert phi_rec.passed
-
     def test_deterministic(self):
         g, p = gen_ring_of_cliques(3, 12, 1, seed=5)
-        a = run_theorem_checks(g, 3, p, seed=9)
-        b = run_theorem_checks(g, 3, p, seed=9)
-        assert a == b
+        assert _checks(g, 3, p, 9) == _checks(g, 3, p, 9)
 
-    def test_precomputed_embedding_gives_same_records(self):
+    def test_returns_the_gap_report(self):
         g, p = gen_ring_of_cliques(3, 12, 1, seed=5)
-        assert run_theorem_checks(g, 3, p, seed=9, exact=exact_embedding(g, 3)) == \
-            run_theorem_checks(g, 3, p, seed=9)
+        emb, eig = exact_embedding(g, 3)
+        gap, _ = run_theorem_checks(g, 3, p, emb, eig, 9)
+        assert gap == gap_report(g, 3, p, eig)
 
     def test_unconditional_bound_random_sbm_sample(self):
         # a slice of the acceptance criterion: 10 seeded SBM instances
@@ -453,7 +443,7 @@ class TestRunTheoremChecks:
             k = int(rng.integers(2, 5))
             sizes = rng.integers(8, 20, size=k).tolist()
             g, p = gen_sbm(sizes, 0.6, 0.05, seed=seed)
-            records = run_theorem_checks(g, k, p, seed=seed)
+            _, records = _checks(g, k, p, seed)
             for r in records:
                 if r.name.startswith("indicator_vs_projection"):
                     assert r.passed

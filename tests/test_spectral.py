@@ -7,6 +7,7 @@ from spectralpart import (Embedding, GapError, InputError, LaplacianOps,
                           optimal_cost_bruteforce, power_embedding,
                           projection_distance, required_power_steps,
                           separation_ratio)
+from spectralpart.linalg import RESIDUAL_RTOL
 from conftest import complete_graph, dense_laplacian, disjoint_cliques
 
 
@@ -97,6 +98,14 @@ class TestRequiredPowerSteps:
     def test_gap_error(self):
         with pytest.raises(GapError):
             required_power_steps(10, 2, 0.1, 0.1, 1.0, 1.0)
+
+    def test_gap_within_solver_accuracy(self):
+        # hub10's lambda_2 = lambda_3 as spectrum returns them, 3.5e-16 apart
+        with pytest.raises(GapError, match="eigensolver accuracy"):
+            required_power_steps(10, 2, 0.01, 0.1, 0.12084713039410418, 0.12084713039410452)
+        with pytest.raises(GapError):
+            required_power_steps(10, 2, 0.01, 0.1, 0.5, 0.5 + 2 * RESIDUAL_RTOL)
+        assert required_power_steps(10, 2, 0.01, 0.1, 0.5, 0.5 + 4 * RESIDUAL_RTOL) > 1
 
     def test_parameter_validation(self):
         with pytest.raises(InputError):
