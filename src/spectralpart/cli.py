@@ -1,6 +1,6 @@
 """Command-line interface: cluster, diagnose, generate, verify.
 
-Reports are JSON with a fixed field order and schema tag "spectral-part/5";
+Reports are JSON with a fixed field order and schema tag "spectral-part/6";
 rerunning a subcommand with the same inputs and seed reproduces the report
 byte for byte except for the "timings" section. The "config" section echoes
 the subcommand and its parsed flags in flag order; "gap" and "checks" are the
@@ -9,9 +9,9 @@ from the reference partition (planted, else recovered) at every n; the exact
 small-graph constants come only from verify. Only cluster takes
 --mode/--eps/--delta, and only cluster and verify take --restarts; every
 subcommand refuses a --k that differs from the block count of the partition
-that comes with the graph (--gen or --partition). Exit
-codes: 0 success or all applicable checks passed, 1 an applicable check
-failed, 2 input error, 3 numeric or capacity error.
+that comes with the graph (--gen or --partition). Exit codes: 0 success or
+all applicable checks passed, 1 an applicable check failed, 2 input error, 3
+numeric or capacity error (running out of memory is a capacity error).
 
 The environment variable SPECTRAL_PART_THREADS caps internal (BLAS) thread
 parallelism; the package applies it when it is imported, before numpy loads.
@@ -35,7 +35,7 @@ from .diagnostics import CHECK_TOL, _record
 from .errors import CapacityError, InputError, NumericError
 from .kmeans import DEFAULT_RESTARTS, best_of_orss, optimal_cost_bruteforce
 
-SCHEMA = "spectral-part/5"
+SCHEMA = "spectral-part/6"
 
 _EXIT_CHECK_FAILED = 1
 _EXIT_INPUT = 2
@@ -368,9 +368,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         _emit({"schema": SCHEMA, "error": {"kind": "input", "message": str(exc)}}, None)
         return _EXIT_INPUT
-    except (CapacityError, NumericError) as exc:
-        kind = "capacity" if isinstance(exc, CapacityError) else "numeric"
-        _emit({"schema": SCHEMA, "error": {"kind": kind, "message": str(exc)}}, None)
+    except (CapacityError, NumericError, MemoryError) as exc:
+        kind = "numeric" if isinstance(exc, NumericError) else "capacity"
+        message = str(exc) or "out of memory"
+        _emit({"schema": SCHEMA, "error": {"kind": kind, "message": message}}, None)
         return _EXIT_NUMERIC
 
 

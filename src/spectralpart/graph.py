@@ -15,6 +15,7 @@ so a huge id in a small file costs no memory.
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 from typing import Sequence
@@ -244,14 +245,35 @@ def gen_ring_of_cliques(k: int, clique_size: int, bridges_per_gap: int,
     return Graph(k * s, np.concatenate(edges)), Partition(k, labels)
 
 
+def _bernoulli_cells(rng, count: int, p: float) -> np.ndarray:
+    """Sorted indices kept by ``count`` independent Bernoulli(p) trials, drawn
+    as geometric gaps (Batagelj & Brandes, Phys. Rev. E 71, 2005) in chunks
+    sized to the expected count: O(1 + count * p) time and memory. p >= 1
+    keeps every cell and p <= 0 none."""
+    if p >= 1.0:
+        return np.arange(count, dtype=np.int64)
+    if p <= 0.0 or count <= 0:
+        return np.empty(0, dtype=np.int64)
+    chunk = int(count * p + 4.0 * math.sqrt(count * p)) + 16
+    parts, last = [], -1
+    while last < count:
+        # Tiny p draws gaps near 2^63; capping them at count + 1 keeps cumsum from wrapping.
+        parts.append(last + np.cumsum(np.minimum(rng.geometric(p, size=chunk), count + 1)))
+        last = int(parts[-1][-1])
+    cells = np.concatenate(parts)
+    return cells[:np.searchsorted(cells, count)]
+
+
 def gen_sbm(sizes: Sequence[int], p_in: float, p_out: float,
             seed: int) -> tuple[Graph, Partition]:
-    """Stochastic block model with a minimum-degree repair pass.
+    """Stochastic block model with a minimum-degree repair pass, in O(n + m).
 
     Each within-block pair is an edge with probability p_in, each cross-block
-    pair with probability p_out. Vertices left isolated have their block-
-    internal pair row resampled (cross-block row for singleton blocks) until
-    every degree is >= 1; the repair draws from the same seeded stream so the
+    pair with probability p_out, all independently: block by block, the kept
+    cells of its s x s grid (those with i < j) and of its s x (later vertices)
+    grid are drawn as geometric skips. The lowest isolated vertex then has its
+    block-internal pair row (cross-block row for singleton blocks) resampled
+    until every degree is >= 1. All draws come from one seeded stream, so the
     result is deterministic. Returns the graph and the planted partition.
     """
     sizes = [int(s) for s in sizes]
@@ -264,34 +286,37 @@ def gen_sbm(sizes: Sequence[int], p_in: float, p_out: float,
     n = sum(sizes)
     k = len(sizes)
     labels = np.repeat(np.arange(k), sizes)
+    starts = np.cumsum([0] + sizes).tolist()
     rng = rng_stream(seed, "graph", "sbm")
 
-    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
-    iu, ju = np.triu_indices(n, k=1)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[iu, ju] = rng.random(len(iu)) < prob[iu, ju]
-    adj |= adj.T
+    edges = []
+    for a, s in enumerate(sizes):
+        lo, hi = starts[a], starts[a + 1]
+        i, j = np.divmod(_bernoulli_cells(rng, s * s, p_in), s)
+        edges.append(np.stack([i, j], axis=1)[i < j] + lo)
+        if hi < n:
+            i, j = np.divmod(_bernoulli_cells(rng, s * (n - hi), p_out), n - hi)
+            edges.append(np.stack([i + lo, j + hi], axis=1))
+    deg = np.bincount(np.concatenate(edges).ravel(), minlength=n)
 
-    for _ in range(10000):
-        deg = adj.sum(axis=0)
-        isolated = np.flatnonzero(deg == 0)
-        if isolated.size == 0:
-            break
-        v = int(isolated[0])
-        mates = np.flatnonzero((labels == labels[v]) if (labels == labels[v]).sum() > 1
-                               else (labels != labels[v]))
-        mates = mates[mates != v]
-        p = p_in if labels[mates[0]] == labels[v] else p_out
+    rounds = 0
+    for v in np.flatnonzero(deg == 0).tolist():
+        # Repairs only add edges, so this order repairs the lowest isolated
+        # vertex first. Its row is [base, base + width) without v.
+        a = labels[v]
+        base, width, p = ((starts[a], sizes[a], p_in) if sizes[a] > 1 else (0, n, p_out))
         if p <= 0.0:
             raise InputError("cannot repair isolated vertex %d with p_out = 0" % v)
-        hit = rng.random(len(mates)) < p
-        adj[v, mates[hit]] = True
-        adj[mates[hit], v] = True
-    else:
-        raise NumericError("isolated-vertex repair did not terminate")
-
-    eu, ev = np.nonzero(np.triu(adj, k=1))
-    return Graph(n, np.stack([eu, ev], axis=1)), Partition(k, labels)
+        while deg[v] == 0:
+            rounds += 1
+            if rounds >= 10000:
+                raise NumericError("isolated-vertex repair did not terminate")
+            c = _bernoulli_cells(rng, width - 1, p)
+            hit = base + c + (c >= v - base)
+            deg[v] += len(hit)
+            deg[hit] += 1
+            edges.append(np.stack([hit, np.full(len(hit), v)], axis=1))
+    return Graph(n, np.concatenate(edges)), Partition(k, labels)
 
 
 # ---------------------------------------------------------------------------

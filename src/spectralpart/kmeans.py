@@ -85,8 +85,8 @@ def cost(pts: WeightedPoints, clustering: Clustering) -> float:
 
 
 def _assign(pts: WeightedPoints, centers: np.ndarray) -> np.ndarray:
-    """Nearest-center labels; exact ties go to the lowest center index."""
-    d2 = np.sum((pts.coords[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    """Nearest-center labels in n x k memory; exact ties go to the lowest center index."""
+    d2 = np.column_stack([np.sum((pts.coords - c) ** 2, axis=1) for c in centers])
     return np.argmin(d2, axis=1)
 
 
@@ -110,11 +110,11 @@ def lloyd_step(pts: WeightedPoints, clustering: Clustering) -> Clustering:
     """
     k = clustering.k
     labels = _assign(pts, clustering.centers)
-    d2 = np.sum((pts.coords - clustering.centers[labels]) ** 2, axis=1)
-    contrib = pts.weights * d2
-    for i in range(k):
-        if np.any(labels == i):
-            continue
+    # Repairs never empty a cluster, so the empty ones are known up front.
+    empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+    if empty.size:
+        contrib = pts.weights * np.sum((pts.coords - clustering.centers[labels]) ** 2, axis=1)
+    for i in empty:
         counts = np.bincount(labels, minlength=k)
         candidates = np.flatnonzero((counts[labels] > 1) & (contrib > -np.inf))
         if candidates.size == 0:
@@ -152,8 +152,6 @@ def orss_kmeans(pts: WeightedPoints, k: int, seed: int) -> Clustering:
         raise InputError("k must be >= 1")
     if pts.n < k:
         raise InputError("need at least k points")
-    if len(np.unique(pts.coords, axis=0)) < k:
-        raise DegenerateError("fewer than k distinct points")
     rng = rng_stream(seed, "kmeans", "seeding")
 
     w = pts.weights
@@ -163,14 +161,19 @@ def orss_kmeans(pts: WeightedPoints, k: int, seed: int) -> Clustering:
     spread = float((w * d2_mean).sum())
 
     probs = w * (total_w * d2_mean + spread)
-    if probs.sum() <= 0:
-        raise DegenerateError("all points coincide")
+    if probs.sum() <= 0:  # only on failure is it worth counting distinct points
+        few = len(np.unique(pts.coords, axis=0)) < k
+        raise DegenerateError("fewer than k distinct points" if few else "all points coincide")
     centers = [pts.coords[rng.choice(pts.n, p=probs / probs.sum())]]
-    d2_near = np.sum((pts.coords - centers[0]) ** 2, axis=1)
+    cols = [np.sum((pts.coords - centers[0]) ** 2, axis=1)]  # reused by the ball refinement
+    d2_near = cols[0]
     for _ in range(1, k):
         probs = w * d2_near
+        if probs.sum() <= 0:  # each point is on, or underflows to, a chosen center
+            raise DegenerateError("fewer than k distinct points")
         centers.append(pts.coords[rng.choice(pts.n, p=probs / probs.sum())])
-        d2_near = np.minimum(d2_near, np.sum((pts.coords - centers[-1]) ** 2, axis=1))
+        cols.append(np.sum((pts.coords - centers[-1]) ** 2, axis=1))
+        d2_near = np.minimum(d2_near, cols[-1])
     centers = np.array(centers)
 
     if k > 1:
@@ -178,7 +181,7 @@ def orss_kmeans(pts: WeightedPoints, k: int, seed: int) -> Clustering:
         for i in range(k):
             gaps = np.sum((np.delete(centers, i, axis=0) - centers[i]) ** 2, axis=1)
             radius2 = (BALL_RADIUS_FACTOR ** 2) * gaps.min()
-            ball = np.sum((pts.coords - centers[i]) ** 2, axis=1) <= radius2
+            ball = cols[i] <= radius2
             if ball.any():
                 bw = w[ball]
                 refined[i] = (bw[:, None] * pts.coords[ball]).sum(axis=0) / bw.sum()

@@ -80,7 +80,7 @@ class TestGenerate:
          "e72286e54e56e0d20786f37a799e4ead47aa6588d3430ad391d87d84d66281bc",
          "67b690b881c3042819ee108e4d625d836ce58db359c25e3060d03e358b36d09d"),
         ("sbm:sizes=6+5+4,pin=0.7,pout=0.1",
-         "9c139a184228e72019943dce204eb3c88da6805e646899dfad9d9ebeb88d9050",
+         "3912441f1bd5913dd82314dffb0e854cd599944412fb3fc3dcf527a3a755e512",
          "e38df1a210959a16b78b594d063b4fb26f8d24d9f3c8cd8261a407cbc8ac89fc"),
     ])
     def test_pinned_bytes(self, tmp_path, capsys, spec, edges_sha, part_sha):
@@ -116,7 +116,7 @@ class TestCluster:
                      "--mode", "exact", "--seed", "1", "--out", str(out)])
         assert code == 0
         rep = load_report(out)
-        assert rep["schema"] == "spectral-part/5"
+        assert rep["schema"] == "spectral-part/6"
         assert rep["graph"] == {"n": 60, "m": 573}
         assert rep["planted_match"]["relative_sym_diff_volume"] == [0.0, 0.0, 0.0]
 
@@ -418,6 +418,16 @@ class TestVerify:
         assert code == 3
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["kind"] == "capacity"
+
+    def test_memory_error_is_capacity_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError()
+        monkeypatch.setattr(cli.G, "gen_sbm", exhausted)
+        code = main(["generate", "--gen", "sbm:sizes=5+5,pin=0.5,pout=0.1", "--k", "2",
+                     "--out", str(tmp_path / "g.txt")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"kind": "capacity", "message": "out of memory"}
 
 
 class TestReportContract:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -298,6 +299,11 @@ class TestSBM:
         g, _ = gen_sbm([3, 3], 1.0, 1.0, seed=0)
         assert g.m == 15
 
+    def test_tiny_p_out_draws_no_cross_edge(self):
+        # Geometric gaps at p = 1e-300 exceed the int64 range.
+        g, p = gen_sbm([5, 5], 1.0, 1e-300, seed=0)
+        assert g.m == 20 and max(block_conductances(g, p)) == 0
+
     def test_planted_quality(self):
         g, p = gen_sbm([50, 50], 0.5, 0.01, seed=7)
         assert max(block_conductances(g, p)) < 0.1
@@ -317,6 +323,29 @@ class TestSBM:
     def test_rejects_zero_p_in(self):
         with pytest.raises(InputError):
             gen_sbm([4, 4], 0.0, 0.0, seed=0)
+
+    def test_pair_inclusion_frequencies(self):
+        # Every pair is its own Bernoulli trial; the repair almost never
+        # fires at these densities, so each frequency is within 5 sigma of p.
+        runs, sizes = 400, [6, 6]
+        counts = np.zeros((12, 12))
+        for seed in range(runs):
+            g, _ = gen_sbm(sizes, 0.7, 0.2, seed=seed)
+            counts[g.edges[:, 0], g.edges[:, 1]] += 1
+        labels = np.repeat([0, 1], sizes)
+        for u, v in itertools.combinations(range(12), 2):
+            p = 0.7 if labels[u] == labels[v] else 0.2
+            sigma = math.sqrt(p * (1 - p) / runs)
+            assert abs(counts[u, v] / runs - p) <= 5 * sigma, (u, v)
+
+    def test_memory_linear_in_edges(self):
+        tracemalloc.start()
+        try:
+            g, _ = gen_sbm([1500] * 4, 0.006, 0.0003, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * (g.n + g.m), peak / (g.n + g.m)
 
 
 class TestEdgeListFormat:

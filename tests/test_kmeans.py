@@ -287,6 +287,19 @@ class TestOrss:
         with pytest.raises(DegenerateError):
             orss_kmeans(p, 2, seed=0)
 
+    def test_degenerate_messages(self):
+        with pytest.raises(DegenerateError, match="fewer than k distinct points"):
+            orss_kmeans(pts_1d([1.0, 1.0, 2.0, 2.0]), 3, seed=0)
+        with pytest.raises(DegenerateError, match="all points coincide"):
+            orss_kmeans(pts_1d([1.0, 1.0]), 1, seed=0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_underflowing_gap_is_degenerate(self, seed):
+        # The points are distinct, but the squared gap 1e-340 underflows to 0,
+        # which leaves no seeding weight for the third center.
+        with pytest.raises(DegenerateError):
+            orss_kmeans(pts_1d([0.0, 1e-170, 1.0]), 3, seed=seed)
+
     def test_best_of_orss_not_worse_than_single(self):
         rng = np.random.default_rng(7)
         p, _ = clumps(rng, 3, 5, spread=1.0, gap=3.0)  # mildly separated
