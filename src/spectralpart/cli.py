@@ -20,6 +20,7 @@ parallelism; the package applies it when it is imported, before numpy loads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -113,7 +114,24 @@ def _read_file(read, path, *args):
         raise InputError("%s: cannot read: %s" % (path, exc)) from exc
 
 
-def _load_graph(args):
+def _write_file(write, value, path):
+    """``write(value, path)``, with an unwritable path an InputError."""
+    try:
+        write(value, path)
+    except OSError as exc:
+        raise InputError("%s: cannot write: %s" % (path, exc)) from exc
+
+
+@contextlib.contextmanager
+def _timed(timings, key):
+    """Store the seconds the block takes as ``timings[key]``."""
+    t0 = time.perf_counter()
+    yield
+    timings[key] = time.perf_counter() - t0
+
+
+def _load_graph(args, report):
+    """The graph, its partition or None, and the graph's size in ``report``."""
     if args.gen:
         spec = parse_gen_spec(args.gen)
         generate = G.gen_ring_of_cliques if spec[0] == "ring" else G.gen_sbm
@@ -124,18 +142,11 @@ def _load_graph(args):
         part = _read_file(G.read_partition, path, g.n) if path else None
     if part is not None and part.k != args.k:
         raise InputError("partition has %d blocks, --k is %d" % (part.k, args.k))
+    report["graph"] = {"n": g.n, "m": g.m}
     return g, part
 
 
-def _config_echo(args):
-    return {key: value for key, value in vars(args).items() if key != "func"}
-
-
-def _graph_stats(g):
-    return {"n": g.n, "m": g.m}
-
-
-def _clustering_section(g, part):
+def _clustering_section(g, part, cost):
     blocks = []
     for i in range(part.k):
         mask = part.labels == i
@@ -145,171 +156,113 @@ def _clustering_section(g, part):
             "cut": G.cut(g, mask),
             "conductance": float(G.conductance(g, mask)),
         })
-    return {"k": part.k, "assignment": part.labels.tolist(), "blocks": blocks}
+    return {"k": part.k, "assignment": part.labels.tolist(), "blocks": blocks, "cost": cost}
 
 
-def _failed_applicable(records) -> bool:
-    return any(r.hypothesis_met and not r.passed for r in records)
-
-
-def cmd_cluster(args) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    g, planted = _load_graph(args)
-    timings["load"] = time.perf_counter() - t0
-
-    report = {"schema": SCHEMA, "command": "cluster",
-              "config": _config_echo(args), "graph": _graph_stats(g)}
-
-    t0 = time.perf_counter()
-    if args.mode == "exact":
-        emb, eig = S.exact_embedding(g, args.k)
-        power_info = None
-    else:
-        eig = S.spectrum(g, args.k)
-        if eig.n <= args.k:
-            raise InputError("power mode needs k < n (got k=%d, n=%d)" % (args.k, g.n))
-        lam_k = float(eig.values[args.k - 1])
-        lam_k1 = float(eig.values[args.k])
-        steps = S.required_power_steps(g.n, args.k, args.eps, args.delta, lam_k, lam_k1)
-        emb = S.power_embedding(g, args.k, steps, args.seed)
-        power_info = {"steps": steps, "seed": args.seed, "eps": args.eps, "delta": args.delta}
-    timings["embedding"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    clustering = best_of_orss(emb, args.k, args.seed, args.restarts)
-    result = G.Partition(args.k, clustering.labels)
-    timings["kmeans"] = time.perf_counter() - t0
-
+def cmd_cluster(args, report, timings):
+    with _timed(timings, "load"):
+        g, planted = _load_graph(args, report)
+    with _timed(timings, "embedding"):
+        if args.mode == "exact":
+            emb, eig = S.exact_embedding(g, args.k)
+            power_info = None
+        else:
+            eig = S.spectrum(g, args.k)
+            if eig.n <= args.k:
+                raise InputError("power mode needs k < n (got k=%d, n=%d)" % (args.k, g.n))
+            lam_k = float(eig.values[args.k - 1])
+            lam_k1 = float(eig.values[args.k])
+            steps = S.required_power_steps(g.n, args.k, args.eps, args.delta, lam_k, lam_k1)
+            emb = S.power_embedding(g, args.k, steps, args.seed)
+            power_info = {"steps": steps, "seed": args.seed, "eps": args.eps, "delta": args.delta}
+    with _timed(timings, "kmeans"):
+        clustering = best_of_orss(emb, args.k, args.seed, args.restarts)
+        result = G.Partition(args.k, clustering.labels)
     report["eigenvalues"] = [float(v) for v in eig.values]
     report["power"] = power_info
-    t0 = time.perf_counter()
-    reference = planted if planted is not None else result
-    report["gap"] = dataclasses.asdict(D.gap_report(g, args.k, reference, eig))
-    report["gap"]["reference"] = "planted" if planted is not None else "recovered"
-    timings["gap"] = time.perf_counter() - t0
-
-    section = _clustering_section(g, result)
-    section["cost"] = clustering.cost
-    report["clustering"] = section
-
+    with _timed(timings, "gap"):
+        reference = planted if planted is not None else result
+        report["gap"] = dataclasses.asdict(D.gap_report(g, args.k, reference, eig))
+        report["gap"]["reference"] = "planted" if planted is not None else "recovered"
+    report["clustering"] = _clustering_section(g, result, clustering.cost)
     if planted is not None:
         pi = G.match_partitions(g, result, planted)
-        rel = []
-        for i in range(args.k):
-            target = planted.labels == pi[i]
-            dv = G.sym_diff_volume(g, result.labels == i, target)
-            rel.append(dv / G.volume(g, target))
+        targets = [planted.labels == pi[i] for i in range(args.k)]
+        rel = [G.sym_diff_volume(g, result.labels == i, target) / G.volume(g, target)
+               for i, target in enumerate(targets)]
         report["planted_match"] = {"permutation": pi.tolist(),
                                    "relative_sym_diff_volume": rel}
 
-    report["timings"] = timings
-    _emit(report, args.out)
-    return 0
+
+def cmd_diagnose(args, report, timings):
+    with _timed(timings, "load"):
+        g, planted = _load_graph(args, report)
+        if planted is None:
+            raise InputError("diagnose needs a reference partition (--gen or --partition)")
+    with _timed(timings, "checks"):
+        emb, eig = S.exact_embedding(g, args.k)
+        gap, records = D.run_theorem_checks(g, args.k, planted, emb, eig, args.seed)
+    report["eigenvalues"] = [float(v) for v in eig.values]
+    report["gap"] = dataclasses.asdict(gap)
+    return records
 
 
-def cmd_diagnose(args) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    g, planted = _load_graph(args)
-    if planted is None:
-        raise InputError("diagnose needs a reference partition (--gen or --partition)")
-    timings["load"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    emb, eig = S.exact_embedding(g, args.k)
-    gap, records = D.run_theorem_checks(g, args.k, planted, emb, eig, args.seed)
-    timings["checks"] = time.perf_counter() - t0
-
-    report = {
-        "schema": SCHEMA, "command": "diagnose",
-        "config": _config_echo(args), "graph": _graph_stats(g),
-        "eigenvalues": [float(v) for v in eig.values],
-        "gap": dataclasses.asdict(gap),
-        "checks": [dataclasses.asdict(r) for r in records],
-        "timings": timings,
-    }
-    _emit(report, args.out)
-    return _EXIT_CHECK_FAILED if _failed_applicable(records) else 0
-
-
-def cmd_generate(args) -> int:
+def cmd_generate(args, report, timings):
     if not args.out:
         raise InputError("generate requires --out (edge list path; partition gets .part)")
-    g, planted = _load_graph(args)
+    g, planted = _load_graph(args, report)
     if planted is None:
         raise InputError("generate requires --gen")
-    G.write_edge_list(g, args.out)
     part_path = args.out + ".part"
-    G.write_partition(planted, part_path)
-    report = {"schema": SCHEMA, "command": "generate",
-              "config": _config_echo(args),
-              "graph": _graph_stats(g),
-              "files": {"edges": args.out, "partition": part_path}}
-    _emit(report, None)
-    return 0
+    _write_file(G.write_edge_list, g, args.out)
+    _write_file(G.write_partition, planted, part_path)
+    report["files"] = {"edges": args.out, "partition": part_path}
 
 
-def cmd_verify(args) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    g, _ = _load_graph(args)
+def cmd_verify(args, report, timings):
     k = args.k
     records = []
-
-    consts = D.bruteforce_partition_constants(g, k)
-    records.append(_record("tuple_constant_vs_partition_constant",
-                           consts.rho, consts.rho_hat, True))
-    records.append(_record("partition_constant_upper",
-                           consts.rho_hat, k * consts.rho, True))
-    emb, eig = S.exact_embedding(g, k)
-    records.append(_record("eigenvalue_halved_lower",
-                           float(eig.values[k - 1]) / 2.0, consts.rho, True))
-    timings["constants"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    inter = D.inter_connection(g, k, consts)
-    inter_section = {"degenerate": inter.degenerate, "rho": inter.rho,
-                     "rho_hat": inter.rho_hat}
-    if not inter.degenerate:
-        inter_section.update(
-            rho_p=inter.rho_p, kappa=inter.kappa, rho_avr_tilde=inter.rho_avr_tilde,
-            witness_partition=inter.witness_partition.labels.tolist(),
-            witness_tuple=inter.witness_tuple.labels.tolist())
-        records.append(_record("interconnection_in_range", inter.rho_p,
-                               1.0 - 1.0 / (k - 1), True,
-                               "positivity checked separately"))
-        records.append(_record("interconnection_positive", 2 * CHECK_TOL, inter.rho_p,
-                               True, "asserts rho_p > 0"))
-        phi_z = [float(f) for f in G.block_conductances(g, inter.witness_tuple)]
-        phi_p = [float(f) for f in G.block_conductances(g, inter.witness_partition)]
-        for i in range(k):
-            records.append(_record("interconnection_witness_phi[%d]" % i,
-                                   phi_p[i], inter.kappa * phi_z[i], True))
-        records.append(_record("interconnection_witness_avg",
-                               inter.rho_avr_tilde,
-                               inter.kappa / k * sum(phi_z), True))
-    timings["interconnection"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    oracle, _ = optimal_cost_bruteforce(emb, k)
-    heur = best_of_orss(emb, k, args.seed, args.restarts)
-    records.append(_record("kmeans_oracle_lower", oracle, heur.cost, True))
-    records.append(_record("kmeans_heuristic_factor", heur.cost, 1.1 * oracle, True))
-    timings["kmeans"] = time.perf_counter() - t0
-
-    report = {
-        "schema": SCHEMA, "command": "verify",
-        "config": _config_echo(args), "graph": _graph_stats(g),
-        "eigenvalues": [float(v) for v in eig.values],
-        "constants": {"rho": consts.rho, "rho_hat": consts.rho_hat,
-                      "rho_avr": consts.rho_avr},
-        "interconnection": inter_section,
-        "checks": [dataclasses.asdict(r) for r in records],
-        "timings": timings,
-    }
-    _emit(report, args.out)
-    return _EXIT_CHECK_FAILED if _failed_applicable(records) else 0
+    with _timed(timings, "constants"):
+        g, _ = _load_graph(args, report)
+        consts = D.bruteforce_partition_constants(g, k)
+        records.append(_record("tuple_constant_vs_partition_constant",
+                               consts.rho, consts.rho_hat, True))
+        records.append(_record("partition_constant_upper",
+                               consts.rho_hat, k * consts.rho, True))
+        emb, eig = S.exact_embedding(g, k)
+        records.append(_record("eigenvalue_halved_lower",
+                               float(eig.values[k - 1]) / 2.0, consts.rho, True))
+    with _timed(timings, "interconnection"):
+        inter = D.inter_connection(g, k, consts)
+        inter_section = {"degenerate": inter.degenerate, "rho": inter.rho,
+                         "rho_hat": inter.rho_hat}
+        if not inter.degenerate:
+            inter_section.update(
+                rho_p=inter.rho_p, kappa=inter.kappa, rho_avr_tilde=inter.rho_avr_tilde,
+                witness_partition=inter.witness_partition.labels.tolist(),
+                witness_tuple=inter.witness_tuple.labels.tolist())
+            records.append(_record("interconnection_in_range", inter.rho_p,
+                                   1.0 - 1.0 / (k - 1), True,
+                                   "positivity checked separately"))
+            records.append(_record("interconnection_positive", 2 * CHECK_TOL, inter.rho_p,
+                                   True, "asserts rho_p > 0"))
+            phi_z = [float(f) for f in G.block_conductances(g, inter.witness_tuple)]
+            phi_p = [float(f) for f in G.block_conductances(g, inter.witness_partition)]
+            for i in range(k):
+                records.append(_record("interconnection_witness_phi[%d]" % i,
+                                       phi_p[i], inter.kappa * phi_z[i], True))
+            records.append(_record("interconnection_witness_avg",
+                                   inter.rho_avr_tilde,
+                                   inter.kappa / k * sum(phi_z), True))
+    with _timed(timings, "kmeans"):
+        oracle, _ = optimal_cost_bruteforce(emb, k)
+        heur = best_of_orss(emb, k, args.seed, args.restarts)
+        records.append(_record("kmeans_oracle_lower", oracle, heur.cost, True))
+        records.append(_record("kmeans_heuristic_factor", heur.cost, 1.1 * oracle, True))
+    report["eigenvalues"] = [float(v) for v in eig.values]
+    report["constants"] = {"rho": consts.rho, "rho_hat": consts.rho_hat, "rho_avr": consts.rho_avr}
+    report["interconnection"] = inter_section
+    return records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,14 +310,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Build the report head; ``args.func(args, report, timings)`` fills its
+    sections and returns its check records or None; then append "checks" and
+    "timings", write the report (generate's to stdout) and return the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    report = {"schema": SCHEMA, "command": args.command,
+              "config": {key: value for key, value in vars(args).items() if key != "func"}}
+    timings = {}
     try:
         if args.k < 2:
             raise InputError("--k must be at least 2")
         if hasattr(args, "eps") and not (0.0 < args.eps < 1.0 and 0.0 < args.delta < 1.0):
             raise InputError("--eps and --delta must lie in (0, 1)")
-        return args.func(args)
+        records = args.func(args, report, timings)
+        if records is not None:
+            report["checks"] = [dataclasses.asdict(r) for r in records]
+        if timings:
+            report["timings"] = timings
+        _write_file(_emit, report, None if args.command == "generate" else args.out)
     except InputError as exc:
         _emit({"schema": SCHEMA, "error": {"kind": "input", "message": str(exc)}}, None)
         return _EXIT_INPUT
@@ -373,6 +337,8 @@ def main(argv=None) -> int:
         message = str(exc) or "out of memory"
         _emit({"schema": SCHEMA, "error": {"kind": kind, "message": message}}, None)
         return _EXIT_NUMERIC
+    failed = any(r.hypothesis_met and not r.passed for r in records or ())
+    return _EXIT_CHECK_FAILED if failed else 0
 
 
 if __name__ == "__main__":

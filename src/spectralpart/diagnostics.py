@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityError, GapError, InputError, NumericError, SpanCollapseError
 from .graph import Graph, Partition, block_conductances, volume
-from .kmeans import separation_ratio
+from .kmeans import _cost, separation_ratio
 from .linalg import BRUTEFORCE_MAX_N, EigenSystem, _partition_layers, _split_blocks, _splits
 from .spectral import Embedding
 
@@ -500,13 +500,8 @@ def run_theorem_checks(g: Graph, k: int, planted: Partition, emb: Embedding,
 
     # Predicted centers give a cheap clustering of the weighted embedding.
     rhs_cost = (1.0 + 3.0 * k / psi) * k ** 2 / psi
-    planted_cost = 0.0
-    for i in range(k):
-        mask = planted.labels == i
-        diffs = emb.coords[mask] - centers[i]
-        planted_cost += float(np.sum(emb.weights[mask] * np.einsum("ij,ij->i", diffs, diffs)))
-    records.append(_record("planted_center_cost", planted_cost, rhs_cost,
-                           hyp_mix, psi_note))
+    records.append(_record("planted_center_cost", _cost(emb, planted.labels, centers),
+                           rhs_cost, hyp_mix, psi_note))
 
     sep = separation_ratio(emb, k, seed)
     sep_note = psi_note + "; method=%s" % sep.method

@@ -279,6 +279,8 @@ def gen_sbm(sizes: Sequence[int], p_in: float, p_out: float,
     sizes = [int(s) for s in sizes]
     if len(sizes) < 1 or any(s < 1 for s in sizes):
         raise InputError("sizes must be positive")
+    if sum(sizes) < 2:
+        raise InputError("sizes must add up to at least 2 vertices")
     if not (0.0 <= p_out <= 1.0 and 0.0 < p_in <= 1.0):
         raise InputError("require 0 <= p_out <= 1 and 0 < p_in <= 1")
     if p_out > p_in:

@@ -99,6 +99,14 @@ class TestGenerate:
         assert err["error"]["kind"] == "input"
         assert "ring:k=" in err["error"]["message"]  # grammar listed
 
+    def test_one_vertex_sbm_is_input_error(self, tmp_path, capsys):
+        code = main(["generate", "--gen", "sbm:sizes=1,pin=0.5,pout=0.1", "--k", "2",
+                     "--out", str(tmp_path / "g.txt")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "input" and "at least 2 vertices" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_mismatched_k_rejected(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
         code = main(["generate", "--gen", "ring:k=3,size=5,b=1", "--k", "7",
@@ -309,6 +317,16 @@ class TestDiagnose:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["kind"] == "input"
 
+    def test_failed_applicable_check_exits_one(self, tmp_path, capsys, monkeypatch):
+        real = diagnostics.run_theorem_checks
+        failing = diagnostics._record("forced_failure", 2.0, 1.0, True)
+        monkeypatch.setattr(diagnostics, "run_theorem_checks",
+                            lambda *a: (real(*a)[0], [failing]))
+        out = tmp_path / "rep.json"
+        assert main(["diagnose", "--gen", "ring:k=3,size=8,b=1", "--k", "3",
+                     "--out", str(out)]) == 1
+        assert load_report(out)["checks"] == [dataclasses.asdict(failing)]
+
     def test_determinism_modulo_timings(self, tmp_path, capsys):
         reps = []
         for name in ("a.json", "b.json"):
@@ -471,8 +489,10 @@ class TestReportContract:
         else:
             gap_keys = [f.name for f in dataclasses.fields(GapReport)]
             assert list(rep["gap"]) == gap_keys + gap_extra
-        if argv[0] == "cluster":
-            assert list(rep["timings"]) == ["load", "embedding", "kmeans", "gap"]
+        timing_keys = {"cluster": ["load", "embedding", "kmeans", "gap"],
+                       "diagnose": ["load", "checks"],
+                       "verify": ["constants", "interconnection", "kmeans"]}
+        assert list(rep["timings"]) == timing_keys[argv[0]]
         checks = rep.get("checks", [])
         assert checks or argv[0] == "cluster"
         for check in checks:
@@ -484,6 +504,7 @@ class TestReportContract:
               "--out", str(tmp_path / "g.txt")])
         rep = json.loads(capsys.readouterr().out)
         assert list(rep["config"]) == ["command", "input", "gen", "k", "seed", "out"]
+        assert "timings" not in rep and "checks" not in rep
 
     @pytest.mark.parametrize("command", ["diagnose", "generate"])
     def test_restarts_rejected_where_unused(self, capsys, command):
@@ -496,6 +517,16 @@ class TestReportContract:
         out = tmp_path / "rep.json"
         assert main(["cluster", "--gen", "ring:k=2,size=4,b=1", "--k", "2",
                      "--seed", "0", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["cluster", "diagnose", "generate", "verify"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, command):
+    bad = tmp_path / "missing" / "r.json"
+    assert main([command, "--gen", "ring:k=3,size=3,b=1", "--k", "3", "--out", str(bad)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "input"
+    assert err["message"].startswith(str(bad) + ": cannot write: ")
+    assert "No such file" in err["message"]
 
 
 @pytest.mark.parametrize("command", ["cluster", "diagnose"])

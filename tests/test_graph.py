@@ -324,6 +324,10 @@ class TestSBM:
         with pytest.raises(InputError):
             gen_sbm([4, 4], 0.0, 0.0, seed=0)
 
+    def test_rejects_fewer_than_two_vertices(self):
+        with pytest.raises(InputError, match="at least 2 vertices"):
+            gen_sbm([1], 0.5, 0.1, seed=0)
+
     def test_pair_inclusion_frequencies(self):
         # Every pair is its own Bernoulli trial; the repair almost never
         # fires at these densities, so each frequency is within 5 sigma of p.
