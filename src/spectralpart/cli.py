@@ -24,6 +24,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -68,13 +69,8 @@ def _jsonable(value):
     return value
 
 
-def _emit(report: dict, out_path):
-    text = json.dumps(_jsonable(report), indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(report: dict, out):
+    out.write(json.dumps(_jsonable(report), indent=2) + "\n")
 
 
 def parse_gen_spec(spec: str):
@@ -114,12 +110,36 @@ def _read_file(read, path, *args):
         raise InputError("%s: cannot read: %s" % (path, exc)) from exc
 
 
-def _write_file(write, value, path):
-    """``write(value, path)``, with an unwritable path an InputError."""
+@contextlib.contextmanager
+def _output(path):
+    """``path`` opened for writing from its start, or stdout for None.
+
+    Opened before the work that fills it, so an unwritable path fails fast,
+    but not truncated there: a file the run still reads (an ``--input`` also
+    given as ``--out``) stays intact until the block writes, and the tail of
+    an older, longer file is cut when the block ends. When the block raises,
+    a file this call created is removed and an existing one is left as the
+    block left it. An OSError from opening, writing or closing the file
+    becomes an InputError."""
+    if path is None:
+        yield sys.stdout
+        return
+    existed = os.path.exists(path)
     try:
-        write(value, path)
+        fh = os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8")
     except OSError as exc:
         raise InputError("%s: cannot write: %s" % (path, exc)) from exc
+    try:
+        with fh:
+            yield fh
+            fh.truncate()
+    except BaseException as exc:
+        if not existed:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise InputError("%s: cannot write: %s" % (path, exc)) from exc
+        raise
 
 
 @contextlib.contextmanager
@@ -214,8 +234,9 @@ def cmd_generate(args, report, timings):
     if planted is None:
         raise InputError("generate requires --gen")
     part_path = args.out + ".part"
-    _write_file(G.write_edge_list, g, args.out)
-    _write_file(G.write_partition, planted, part_path)
+    with _output(args.out) as edges_fh, _output(part_path) as part_fh:
+        G.write_edge_list(g, edges_fh)
+        G.write_partition(planted, part_fh)
     report["files"] = {"edges": args.out, "partition": part_path}
 
 
@@ -310,9 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Build the report head; ``args.func(args, report, timings)`` fills its
-    sections and returns its check records or None; then append "checks" and
-    "timings", write the report (generate's to stdout) and return the exit code."""
+    """Build the report head and open the report file (generate's report goes
+    to stdout); ``args.func(args, report, timings)`` fills its sections and
+    returns its check records or None; then append "checks" and "timings",
+    write the report and return the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     report = {"schema": SCHEMA, "command": args.command,
@@ -323,19 +345,20 @@ def main(argv=None) -> int:
             raise InputError("--k must be at least 2")
         if hasattr(args, "eps") and not (0.0 < args.eps < 1.0 and 0.0 < args.delta < 1.0):
             raise InputError("--eps and --delta must lie in (0, 1)")
-        records = args.func(args, report, timings)
-        if records is not None:
-            report["checks"] = [dataclasses.asdict(r) for r in records]
-        if timings:
-            report["timings"] = timings
-        _write_file(_emit, report, None if args.command == "generate" else args.out)
+        with _output(None if args.command == "generate" else args.out) as out:
+            records = args.func(args, report, timings)
+            if records is not None:
+                report["checks"] = [dataclasses.asdict(r) for r in records]
+            if timings:
+                report["timings"] = timings
+            _emit(report, out)
     except InputError as exc:
-        _emit({"schema": SCHEMA, "error": {"kind": "input", "message": str(exc)}}, None)
+        _emit({"schema": SCHEMA, "error": {"kind": "input", "message": str(exc)}}, sys.stdout)
         return _EXIT_INPUT
     except (CapacityError, NumericError, MemoryError) as exc:
         kind = "numeric" if isinstance(exc, NumericError) else "capacity"
         message = str(exc) or "out of memory"
-        _emit({"schema": SCHEMA, "error": {"kind": kind, "message": message}}, None)
+        _emit({"schema": SCHEMA, "error": {"kind": kind, "message": message}}, sys.stdout)
         return _EXIT_NUMERIC
     failed = any(r.hypothesis_met and not r.passed for r in records or ())
     return _EXIT_CHECK_FAILED if failed else 0

@@ -347,12 +347,15 @@ def _load_int_pairs(path) -> np.ndarray | None:
     return rows if rows.shape[1] == 2 and len(rows) else None
 
 
-def _write_pairs(path, rows: np.ndarray):
-    """Write the rows of an (r, 2) integer array as ``a b`` lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(rows), _WRITE_CHUNK):
-            chunk = rows[start:start + _WRITE_CHUNK]
-            fh.write(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+def _write_pairs(dest, rows: np.ndarray):
+    """Write the rows of an (r, 2) integer array as ``a b`` lines to a path
+    or an open text file."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w", encoding="utf-8") as fh:
+            return _write_pairs(fh, rows)
+    for start in range(0, len(rows), _WRITE_CHUNK):
+        chunk = rows[start:start + _WRITE_CHUNK]
+        dest.write(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _int_pair_lines(path, fields: str, ids: str):
@@ -412,7 +415,8 @@ def _read_edge_lines(path) -> Graph:
 
 
 def write_edge_list(g: Graph, path):
-    """Write the canonical sorted edge list (u < v per line)."""
+    """Write the canonical sorted edge list (u < v per line) to a path or an
+    open text file."""
     _write_pairs(path, g.edges)
 
 
@@ -455,6 +459,7 @@ def _read_partition_lines(path, n: int) -> Partition:
 
 
 def write_partition(p: Partition, path):
-    """Write one ``vertex block`` pair per line (uncovered vertices skipped)."""
+    """Write one ``vertex block`` pair per line (uncovered vertices skipped)
+    to a path or an open text file."""
     covered = np.flatnonzero(p.labels >= 0)
     _write_pairs(path, np.stack([covered, p.labels[covered]], axis=1))

@@ -6,14 +6,15 @@ degree (weights stand in for the usual "d_u duplicated copies" view, which
 costs the same under weighted k-means and O(n) instead of O(m) memory).
 
 One spectrum stage, ``spectrum``, computes the k+1 lowest eigenpairs of the
-normalized Laplacian with the sparse Lanczos solver (ARPACK) on
-I + D^{-1/2} A D^{-1/2}; every eigen-consumer reads it. Two embedding routes
-are built on top: the exact embedding takes the k lowest of those
-eigenvectors, and the power iteration on I + D^{-1/2} A D^{-1/2}, with a QR
-after every matvec, approximates the same subspace using only matvecs.
-scipy is imported only for graphs above BRUTEFORCE_MAX_N vertices (at or below
-it both run on a dense adjacency and spectrum solves densely), and only inside
-the code that uses it, so importing the package loads only numpy.
+normalized Laplacian from the largest ones of I + D^{-1/2} A D^{-1/2}; every
+eigen-consumer reads it. Two embedding routes are built on top: the exact
+embedding takes the k lowest of those eigenvectors, and the power iteration
+on I + D^{-1/2} A D^{-1/2}, with a QR after every matvec, approximates the
+same subspace using only matvecs. Up to NUMPY_MAX_N vertices both run on a
+numpy CSR, and spectrum solves with a numpy block Krylov-Schur solver (or
+densely, for tiny graphs); above it they run on a scipy CSR and spectrum
+calls ARPACK. scipy is imported only there, inside the code that uses it, so
+importing the package loads only numpy.
 """
 
 from __future__ import annotations
@@ -29,35 +30,57 @@ from .kmeans import WeightedPoints
 from .linalg import (BRUTEFORCE_MAX_N, ORTHONORMALITY_TOL, RESIDUAL_RTOL,
                      EigenSystem, _fix_signs, gaussian_matrix, rng_stream, sym_eig)
 
-#: A power-iteration block whose QR diagonal falls below this fraction of its
-#: largest entry has lost rank.
+#: A QR diagonal entry below this fraction of the column scale means lost
+#: rank: a collapsed power-iteration block, or a block Krylov expansion column
+#: that adds no new direction.
 _RANK_COLLAPSE_RTOL = 1e-12
+#: Largest graph whose operators and spectrum run on numpy alone: the measured
+#: size up to which neither ``cluster`` mode runs slower than on scipy, whose
+#: import costs more than the solve at these sizes but whose CSR matvec is
+#: about 3x faster than the numpy one.
+NUMPY_MAX_N = 3000
+#: Column cap of the block Krylov basis; a thick restart keeps the top half.
+_KRYLOV_BASIS = 64
+#: The block Krylov solver gives up after this many matvec columns per vertex.
+_KRYLOV_COLS_PER_VERTEX = 20
 
 
 class LaplacianOps:
     """Matvec access to I - N and I + N for N = D^{-1/2} A D^{-1/2}.
 
     The two operators are exchangeable through apply_laplacian(x) +
-    apply_shifted(x) = 2x and are both symmetric. The adjacency is a dense
-    array for n <= BRUTEFORCE_MAX_N (no scipy import) and scipy CSR above.
+    apply_shifted(x) = 2x and are both symmetric. The adjacency is a numpy
+    CSR for n <= NUMPY_MAX_N (no scipy import), applied one column at a time
+    by a gather and a segment sum, and a scipy CSR above.
     """
 
     def __init__(self, graph: Graph):
         n = graph.n
         self.graph = graph
         self._inv_sqrt_d = 1.0 / np.sqrt(graph.degrees.astype(float))
-        if n <= BRUTEFORCE_MAX_N:
-            self._adj = np.zeros((n, n))
-            self._adj[np.repeat(np.arange(n), graph.degrees), graph.indices] = 1.0
+        self._adj = None
+        if n <= NUMPY_MAX_N:
+            # A writeable copy: np.take gathers several times slower through
+            # the graph's read-only index array.
+            self._indices = graph.indices.copy()
+            self._starts = graph.indptr[:-1]
         else:
             from scipy.sparse import csr_array
 
             self._adj = csr_array(
                 (np.ones(len(graph.indices)), graph.indices, graph.indptr), shape=(n, n))
 
+    def _adj_times(self, y: np.ndarray) -> np.ndarray:
+        if self._adj is not None:
+            return self._adj @ y
+        if y.ndim == 1:
+            # Every row is nonempty (minimum degree 1), as reduceat needs.
+            return np.add.reduceat(np.take(y, self._indices), self._starts)
+        return np.stack([self._adj_times(col) for col in np.ascontiguousarray(y.T)], axis=1)
+
     def _norm_adj(self, x: np.ndarray) -> np.ndarray:
         scale = self._inv_sqrt_d if x.ndim == 1 else self._inv_sqrt_d[:, None]
-        return scale * (self._adj @ (scale * x))
+        return scale * self._adj_times(scale * x)
 
     def apply_laplacian(self, x: np.ndarray) -> np.ndarray:
         """(I - N) x; positive semidefinite with spectrum in [0, 2]."""
@@ -96,18 +119,94 @@ def _freeze_embedding(basis: np.ndarray, g: Graph) -> Embedding:
     return Embedding(coords=coords, weights=weights, basis=basis)
 
 
+def _expansion(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Orthonormal columns for what ``block`` adds to span(basis): two passes
+    of classical Gram-Schmidt against the basis, each followed by a QR; a
+    column left with no reliable new direction after the first is dropped."""
+    block = block / np.linalg.norm(block, axis=0)
+    for drop in (True, False):
+        block = block - basis @ (basis.T @ block)
+        block, r = np.linalg.qr(block)
+        if drop:
+            block = block[:, np.abs(np.diag(r)) > _RANK_COLLAPSE_RTOL]
+    return block
+
+
+def _block_krylov(ops: LaplacianOps, pairs: int):
+    """The ``pairs`` largest eigenpairs (theta ascending, vectors) of I + N.
+
+    Block Krylov-Schur, i.e. block Davidson with no preconditioner. The start
+    block holds ``pairs`` Gaussian columns from ``rng_stream(0, "spectral",
+    "spectrum")``, so a multiple eigenvalue is seen up to multiplicity
+    ``pairs``. Each step adds the orthonormalized residuals of the Ritz pairs
+    not yet converged and extends the projected matrix by their products; a
+    basis at its column cap restarts to its top half of Ritz vectors. Done
+    when every residual is at most RESIDUAL_RTOL / 100; NumericError once
+    _KRYLOV_COLS_PER_VERTEX * n matvec columns are spent.
+    """
+    n = ops.graph.n
+    cap = min(n, max(_KRYLOV_BASIS, 2 * pairs))
+    # The basis V and its image (I + N)V fill the leading columns of two
+    # preallocated arrays; a restart may leave them up to pairs over the cap.
+    basis, image = (np.empty((n, cap + pairs), order="F") for _ in range(2))
+    proj = np.empty((cap + pairs, cap + pairs))
+    new = _expansion(basis[:, :0], rng_stream(0, "spectral", "spectrum")
+                     .standard_normal((n, pairs)))
+    size = cols = 0
+    while True:
+        new_image = ops.apply_shifted(new)
+        cols, grown = cols + new.shape[1], size + new.shape[1]
+        proj[:size, size:grown] = basis[:, :size].T @ new_image
+        proj[size:grown, size:grown] = new.T @ new_image
+        basis[:, size:grown], image[:, size:grown], size = new, new_image, grown
+        theta, rot = np.linalg.eigh(proj[:size, :size], UPLO="U")
+        ritz = basis[:, :size] @ rot[:, -pairs:]
+        resid = image[:, :size] @ rot[:, -pairs:] - ritz * theta[-pairs:]
+        open_ = np.linalg.norm(resid, axis=0) > RESIDUAL_RTOL / 100
+        if not open_.any():
+            return theta[-pairs:], ritz
+        if cols >= _KRYLOV_COLS_PER_VERTEX * n:
+            raise NumericError("block Krylov eigensolve did not converge in %d matvecs"
+                               % cols)
+        if size + open_.sum() > cap:
+            keep = rot[:, -max(cap // 2, pairs):]
+            basis[:, :keep.shape[1]] = basis[:, :size] @ keep
+            image[:, :keep.shape[1]] = image[:, :size] @ keep
+            size = keep.shape[1]
+            proj[:size, :size] = np.diag(theta[-size:])
+        new = _expansion(basis[:, :size], resid[:, open_])
+        if new.shape[1] == 0:
+            raise NumericError("block Krylov basis stopped growing")
+
+
+def _arpack(ops: LaplacianOps, pairs: int):
+    """The ``pairs`` largest eigenpairs of I + N from ARPACK's Lanczos solver
+    (``eigsh``, ``which="LA"``, ``tol=0``), started from ``rng_stream(0,
+    "spectral", "spectrum")``."""
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    n = ops.graph.n
+    shifted = LinearOperator((n, n), matvec=ops.apply_shifted,
+                             matmat=ops.apply_shifted, dtype=float)
+    v0 = rng_stream(0, "spectral", "spectrum").standard_normal(n)
+    try:
+        return eigsh(shifted, k=pairs, which="LA", tol=0, v0=v0)
+    except ArpackError as exc:
+        raise NumericError("sparse eigensolve failed: %s" % exc) from exc
+
+
 def spectrum(g: Graph, k: int) -> EigenSystem:
     """The min(k+1, n) lowest eigenpairs of the normalized Laplacian I - N.
 
-    ARPACK's Lanczos solver (``eigsh``, ``which="LA"``, ``tol=0``) finds the
-    largest eigenvalues theta of I + N through LaplacianOps matvecs, and
-    lambda = 2 - theta; the start vector comes from the fixed stream
-    ``rng_stream(0, "spectral", "spectrum")``, so the result is deterministic
-    per graph. Where ARPACK cannot run (k+1 >= n-1), and at n <=
-    BRUTEFORCE_MAX_N (so small graphs load no scipy), sym_eig solves the dense
-    I - N instead. Either way values are ascending, vectors follow the sym_eig
-    sign rule, and every pair must pass ||(I - N)v - lambda v|| <= RESIDUAL_RTOL
-    with columns orthonormal to ORTHONORMALITY_TOL, else NumericError.
+    An iterative solver finds the largest eigenvalues theta of I + N through
+    LaplacianOps matvecs, and lambda = 2 - theta: _block_krylov on numpy for
+    n <= NUMPY_MAX_N (so these graphs load no scipy), ARPACK above. Both start
+    from the fixed stream ``rng_stream(0, "spectral", "spectrum")``, so the
+    result is deterministic per graph. Where ARPACK cannot run (k+1 >= n-1),
+    and at n <= BRUTEFORCE_MAX_N, sym_eig solves the dense I - N instead.
+    Either way values are ascending, vectors follow the sym_eig sign rule, and
+    every pair must pass ||(I - N)v - lambda v|| <= RESIDUAL_RTOL with columns
+    orthonormal to ORTHONORMALITY_TOL, else NumericError.
     """
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
@@ -119,15 +218,8 @@ def spectrum(g: Graph, k: int) -> EigenSystem:
         values = full.values[:pairs].copy()
         vectors = full.vectors[:, :pairs].copy()
     else:
-        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-        shifted = LinearOperator((n, n), matvec=ops.apply_shifted,
-                                 matmat=ops.apply_shifted, dtype=float)
-        v0 = rng_stream(0, "spectral", "spectrum").standard_normal(n)
-        try:
-            theta, vectors = eigsh(shifted, k=pairs, which="LA", tol=0, v0=v0)
-        except ArpackError as exc:
-            raise NumericError("sparse eigensolve failed: %s" % exc) from exc
+        solve = _block_krylov if n <= NUMPY_MAX_N else _arpack
+        theta, vectors = solve(ops, pairs)
         order = np.argsort(-theta, kind="stable")
         values = 2.0 - theta[order]
         vectors = np.ascontiguousarray(vectors[:, order])

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from spectralpart import cli, diagnostics
+from spectralpart import (cli, diagnostics, gen_sbm, spectral, write_edge_list,
+                          write_partition)
 from spectralpart.cli import main, parse_gen_spec
 from spectralpart.diagnostics import GapReport
 from spectralpart.errors import InputError
@@ -90,6 +91,16 @@ class TestGenerate:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == edges_sha
         part = tmp_path / "g.txt.part"
         assert hashlib.sha256(part.read_bytes()).hexdigest() == part_sha
+
+    def test_unwritable_partition_leaves_no_edge_list(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        (tmp_path / "g.txt.part").mkdir()
+        assert main(["generate", "--gen", "ring:k=3,size=5,b=1", "--k", "3",
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "input"
+        assert err["message"].startswith(str(out) + ".part: cannot write: ")
+        assert not out.exists()
 
     def test_invalid_spec_usage_error(self, tmp_path, capsys):
         code = main(["generate", "--gen", "ring:k=2", "--k", "2",
@@ -529,6 +540,35 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, command):
     assert "No such file" in err["message"]
 
 
+@pytest.mark.parametrize("command", ["cluster", "diagnose", "verify"])
+def test_unwritable_out_fails_before_the_spectrum(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum called before the report path was opened")
+
+    monkeypatch.setattr(spectral, "spectrum", refuse)
+    bad = tmp_path / "missing" / "r.json"
+    assert main([command, "--gen", "ring:k=3,size=3,b=1", "--k", "3", "--out", str(bad)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "input"
+
+
+def test_failed_run_leaves_out_as_it_was(tmp_path, capsys):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("an older, longer report\n")
+    for out in (new, old):
+        assert main(["cluster", "--input", str(tmp_path / "absent.txt"), "--k", "3",
+                     "--out", str(out)]) == 2
+    assert not new.exists()
+    assert old.read_text() == "an older, longer report\n"
+
+
+def test_out_may_name_the_input(tmp_path, capsys):
+    """The report path is opened up front but not truncated before the input is read."""
+    path = tmp_path / "g.txt"
+    path.write_text("".join("%d %d\n" % (u, v) for u, v in ring_of_cliques([4] * 3).edges.tolist()))
+    assert main(["cluster", "--input", str(path), "--k", "3", "--out", str(path)]) == 0
+    assert load_report(path)["graph"] == {"n": 12, "m": 21}
+
+
 @pytest.mark.parametrize("command", ["cluster", "diagnose"])
 def test_gap_needs_no_bruteforce_scan(tmp_path, capsys, monkeypatch, command):
     def refuse(*args, **kwargs):
@@ -572,25 +612,34 @@ def _scipy_loaded_after(commands):
 
 
 def test_package_import_loads_no_scipy(tmp_path):
-    """Import alone, and verify, both cluster modes and diagnose on a graph
-    file of at most 14 vertices, stay on numpy; above 14 vertices the spectrum
-    loads scipy (verify rejects such graphs before any solve)."""
-    small, large = tmp_path / "hub10.txt", tmp_path / "ring16.txt"
-    for path, graph in ((small, triangles_with_center()), (large, ring_of_cliques([4] * 4))):
-        path.write_text("".join("%d %d\n" % (u, v) for u, v in graph.edges.tolist()))
+    """Import alone; verify, both cluster modes and diagnose on a graph file
+    of at most 14 vertices; and both cluster modes and diagnose on a
+    bench-shaped SBM of 1200 vertices all stay on numpy. Above NUMPY_MAX_N
+    vertices the spectrum loads scipy (verify rejects such graphs before any
+    solve)."""
+    small, sbm, large = (tmp_path / name for name in ("hub10.txt", "sbm.txt", "large.txt"))
+    small.write_text("".join("%d %d\n" % (u, v) for u, v in triangles_with_center().edges.tolist()))
     part = tmp_path / "hub10.part"
     part.write_text("".join("%d %d\n" % vb for vb in enumerate([0, 0, 0, 1, 1, 1, 2, 2, 2, 0])))
+    g, planted = gen_sbm([150] * 8, 0.12, 0.008, seed=1)
+    write_edge_list(g, sbm)
+    write_partition(planted, tmp_path / "sbm.part")
+    size = spectral.NUMPY_MAX_N // 4 + 2
+    write_edge_list(gen_sbm([size] * 4, 24.0 / size, 1.0 / size, seed=4)[0], large)
+    out = ["--out", str(tmp_path / "rep.json")]
 
-    def commands(path):
-        out = ["--out", str(tmp_path / "rep.json")]
-        return [["verify", "--input", str(path), "--k", "3"] + out,
-                ["cluster", "--input", str(path), "--k", "3", "--mode", "exact"] + out,
-                ["cluster", "--input", str(path), "--k", "3", "--mode", "power"] + out]
+    def commands(path, k):
+        return [["verify", "--input", str(path), "--k", str(k)] + out,
+                ["cluster", "--input", str(path), "--k", str(k), "--mode", "exact"] + out,
+                ["cluster", "--input", str(path), "--k", str(k), "--mode", "power"] + out]
 
-    diagnose = ["diagnose", "--input", str(small), "--partition", str(part), "--k", "3",
-                "--out", str(tmp_path / "rep.json")]
-    assert _scipy_loaded_after(commands(small) + [diagnose]) == [False] * 5
-    for control in commands(large)[1:]:
+    def diagnose(path, part, k):
+        return ["diagnose", "--input", str(path), "--partition", str(part), "--k", str(k)] + out
+
+    assert _scipy_loaded_after(commands(small, 3) + [diagnose(small, part, 3)]
+                               + commands(sbm, 8)[1:]
+                               + [diagnose(sbm, tmp_path / "sbm.part", 8)]) == [False] * 8
+    for control in commands(large, 4)[1:]:
         assert _scipy_loaded_after([control]) == [False, True]
 
 

@@ -1,5 +1,6 @@
-"""The spectrum stage against the dense sym_eig oracle, and its dense path
-(n <= BRUTEFORCE_MAX_N) against ARPACK."""
+"""The spectrum stage against the dense sym_eig oracle on both iterative
+routes (the numpy block Krylov solver up to NUMPY_MAX_N vertices, ARPACK
+above), and its dense path (n <= BRUTEFORCE_MAX_N) against ARPACK."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import scipy.sparse.linalg as sparse_linalg
 from spectralpart import (EigenSystem, InputError, NumericError, gen_ring_of_cliques,
                           gen_sbm, projection_distance, spectral, spectrum, sym_eig)
 from spectralpart.linalg import BRUTEFORCE_MAX_N
-from conftest import (complete_graph, dense_laplacian, disjoint_cliques, path_graph,
-                      planted_ten, random_connected_graph, ring_of_cliques,
+from spectralpart.spectral import NUMPY_MAX_N
+from conftest import (complete_graph, cycle_graph, dense_laplacian, disjoint_cliques,
+                      path_graph, planted_ten, random_connected_graph, ring_of_cliques,
                       triangles_with_center)
 
 VALUE_TOL = 1e-10
@@ -26,7 +28,18 @@ LADDER = {
     "sbm-1200": lambda: (gen_sbm([150] * 8, 0.12, 0.008, seed=1)[0], 8),
     "cliques-4x5": lambda: (disjoint_cliques(4, 5)[0], 4),
     "cliques-6x3": lambda: (disjoint_cliques(6, 3)[0], 3),
+    # Double eigenvalues, and a zero of multiplicity 10 at k + 1 = 11 pairs.
+    "cycle-50": lambda: (cycle_graph(50), 4),
+    "cycle-200": lambda: (cycle_graph(200), 4),
+    "cliques-10x30": lambda: (disjoint_cliques(10, 30)[0], 10),
 }
+
+
+@pytest.fixture
+def arpack_route(monkeypatch):
+    """Lower the numpy cap to BRUTEFORCE_MAX_N, so every graph above the
+    dense rule takes the scipy CSR and ARPACK."""
+    monkeypatch.setattr(spectral, "NUMPY_MAX_N", BRUTEFORCE_MAX_N)
 
 
 def assert_matches_oracle(g, k):
@@ -46,9 +59,54 @@ def assert_matches_oracle(g, k):
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
-def test_ladder_matches_dense_oracle(name):
+def test_ladder_matches_dense_oracle(monkeypatch, name):
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("ARPACK called at n <= NUMPY_MAX_N")
+
+    monkeypatch.setattr(sparse_linalg, "eigsh", no_arpack)
+    g, k = LADDER[name]()
+    assert g.n <= NUMPY_MAX_N
+    assert_matches_oracle(g, k)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_arpack_ladder_matches_dense_oracle(arpack_route, name):
     g, k = LADDER[name]()
     assert_matches_oracle(g, k)
+
+
+def test_above_the_cap_uses_arpack(monkeypatch):
+    """A real graph above NUMPY_MAX_N goes to ARPACK; the block Krylov solver
+    (with the cap raised) is the independent check, since a dense oracle at
+    this size is too slow for a unit test."""
+    sizes = [NUMPY_MAX_N // 4 + 2] * 4
+    g, _ = gen_sbm(sizes, 24.0 / sizes[0], 1.0 / sizes[0], seed=4)
+    calls = []
+    real = sparse_linalg.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "eigsh", counting)
+    eig = spectrum(g, 4)
+    assert calls == [5]
+    monkeypatch.setattr(spectral, "NUMPY_MAX_N", g.n)
+    krylov = spectrum(g, 4)
+    assert calls == [5]
+    assert np.abs(eig.values - krylov.values).max() <= VALUE_TOL
+    assert projection_distance(eig.vectors, krylov.vectors) <= PROJECTOR_TOL
+
+
+def test_krylov_handles_pairs_near_n():
+    """k + 1 = n - 2: the expansion runs out of new directions and drops them."""
+    assert_matches_oracle(path_graph(BRUTEFORCE_MAX_N + 2), BRUTEFORCE_MAX_N - 2)
+
+
+def test_krylov_budget_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "_KRYLOV_COLS_PER_VERTEX", 0.5)
+    with pytest.raises(NumericError, match="did not converge"):
+        spectrum(cycle_graph(200), 4)
 
 
 def test_zero_multiplicity_of_disjoint_cliques():
@@ -67,14 +125,15 @@ def test_zero_multiplicity_of_disjoint_cliques():
     pytest.param(triangles_with_center, 3, id="hub10-3"),
 ])
 def test_tiny_graphs_take_the_dense_branch(monkeypatch, make, k):
-    def no_arpack(*args, **kwargs):
-        raise AssertionError("ARPACK called at n <= BRUTEFORCE_MAX_N or k+1 >= n-1")
+    def no_iterative(*args, **kwargs):
+        raise AssertionError("iterative solve at n <= BRUTEFORCE_MAX_N or k+1 >= n-1")
 
-    monkeypatch.setattr(sparse_linalg, "eigsh", no_arpack)
+    monkeypatch.setattr(sparse_linalg, "eigsh", no_iterative)
+    monkeypatch.setattr(spectral, "_block_krylov", no_iterative)
     assert_matches_oracle(make(), k)
 
 
-def test_small_graph_above_the_rule_uses_arpack(monkeypatch):
+def test_small_graph_above_the_rule_uses_arpack(arpack_route, monkeypatch):
     calls = []
     real = sparse_linalg.eigsh
 
@@ -151,11 +210,16 @@ def test_dense_path_keeps_the_gates(monkeypatch):
         spectrum(g, 3)
 
 
-def test_two_calls_bit_identical():
-    for g, k in (LADDER["sbm-500"](), (complete_graph(9), 3)):
+def test_two_calls_bit_identical(monkeypatch):
+    def assert_repeats(g, k):
         a, b = spectrum(g, k), spectrum(g, k)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
+
+    for g, k in (LADDER["sbm-500"](), LADDER["cycle-200"](), (complete_graph(9), 3)):
+        assert_repeats(g, k)
+    monkeypatch.setattr(spectral, "NUMPY_MAX_N", BRUTEFORCE_MAX_N)
+    assert_repeats(*LADDER["sbm-500"]())
 
 
 def test_output_contract():
@@ -175,7 +239,28 @@ def test_k_out_of_range():
         spectrum(complete_graph(4), 0)
 
 
-def test_residual_check_raises(monkeypatch):
+def test_numpy_route_keeps_the_gates(monkeypatch):
+    real = spectral._block_krylov
+
+    def shifted_values(ops, pairs):
+        theta, vectors = real(ops, pairs)
+        return theta + 1e-3, vectors
+
+    def repeated_vector(ops, pairs):
+        theta, vectors = real(ops, pairs)
+        vectors[:, 1], theta[1] = vectors[:, 0], theta[0]
+        return theta, vectors
+
+    g = LADDER["ring-100"]()[0]
+    monkeypatch.setattr(spectral, "_block_krylov", shifted_values)
+    with pytest.raises(NumericError, match="residual"):
+        spectrum(g, 4)
+    monkeypatch.setattr(spectral, "_block_krylov", repeated_vector)
+    with pytest.raises(NumericError, match="orthonormal"):
+        spectrum(g, 4)
+
+
+def test_residual_check_raises(arpack_route, monkeypatch):
     def wrong_pairs(op, k, **kwargs):
         n = op.shape[0]
         return np.linspace(1.0, 2.0, k), np.eye(n)[:, :k]
@@ -185,7 +270,7 @@ def test_residual_check_raises(monkeypatch):
         spectrum(LADDER["ring-100"]()[0], 4)
 
 
-def test_orthonormality_check_raises(monkeypatch):
+def test_orthonormality_check_raises(arpack_route, monkeypatch):
     real = sparse_linalg.eigsh
 
     def repeated_vector(*args, **kwargs):
