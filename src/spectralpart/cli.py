@@ -25,6 +25,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 import time
 
@@ -117,7 +118,8 @@ def _output(path):
     Opened before the work that fills it, so an unwritable path fails fast,
     but not truncated there: a file the run still reads (an ``--input`` also
     given as ``--out``) stays intact until the block writes, and the tail of
-    an older, longer file is cut when the block ends. When the block raises,
+    an older, longer regular file is cut when the block ends (a device, pipe
+    or FIFO such as /dev/null has no tail to cut). When the block raises,
     a file this call created is removed and an existing one is left as the
     block left it. An OSError from opening, writing or closing the file
     becomes an InputError."""
@@ -132,7 +134,8 @@ def _output(path):
     try:
         with fh:
             yield fh
-            fh.truncate()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except BaseException as exc:
         if not existed:
             with contextlib.suppress(OSError):

@@ -10,11 +10,13 @@ normalized Laplacian from the largest ones of I + D^{-1/2} A D^{-1/2}; every
 eigen-consumer reads it. Two embedding routes are built on top: the exact
 embedding takes the k lowest of those eigenvectors, and the power iteration
 on I + D^{-1/2} A D^{-1/2}, with a QR after every matvec, approximates the
-same subspace using only matvecs. Up to NUMPY_MAX_N vertices both run on a
-numpy CSR, and spectrum solves with a numpy block Krylov-Schur solver (or
-densely, for tiny graphs); above it they run on a scipy CSR and spectrum
-calls ARPACK. scipy is imported only there, inside the code that uses it, so
-importing the package loads only numpy.
+same subspace using only matvecs. Both run on a numpy CSR while the work
+asked of it stays within NUMPY_MAX_WORK, about what importing scipy costs:
+spectrum first tries a numpy block Krylov-Schur solver under that budget (or
+solves densely, for tiny graphs), and the power iteration checks its known
+matvec count against it. Past the budget they run on a scipy CSR, and
+spectrum calls ARPACK. scipy is imported only there, inside the code that
+uses it, so importing the package loads only numpy.
 """
 
 from __future__ import annotations
@@ -34,15 +36,16 @@ from .linalg import (BRUTEFORCE_MAX_N, ORTHONORMALITY_TOL, RESIDUAL_RTOL,
 #: rank: a collapsed power-iteration block, or a block Krylov expansion column
 #: that adds no new direction.
 _RANK_COLLAPSE_RTOL = 1e-12
-#: Largest graph whose operators and spectrum run on numpy alone: the measured
-#: size up to which neither ``cluster`` mode runs slower than on scipy, whose
-#: import costs more than the solve at these sizes but whose CSR matvec is
-#: about 3x faster than the numpy one.
-NUMPY_MAX_N = 3000
+#: Work given to the numpy operators before scipy takes over, in adjacency
+#: entries gathered by the numpy matvec (about 2.4 ns each on a 2-core Xeon),
+#: plus _SWEEP_WEIGHT per basis entry a block Krylov step sweeps: measured to
+#: take about as long as importing scipy, whose CSR matvec is about 3x faster.
+NUMPY_MAX_WORK = 10**8
 #: Column cap of the block Krylov basis; a thick restart keeps the top half.
 _KRYLOV_BASIS = 64
-#: The block Krylov solver gives up after this many matvec columns per vertex.
-_KRYLOV_COLS_PER_VERTEX = 20
+#: Cost of one basis entry in a block Krylov step (cross products, Ritz
+#: vectors, residuals, Gram-Schmidt), in gathered adjacency entries.
+_SWEEP_WEIGHT = 8
 
 
 class LaplacianOps:
@@ -50,25 +53,26 @@ class LaplacianOps:
 
     The two operators are exchangeable through apply_laplacian(x) +
     apply_shifted(x) = 2x and are both symmetric. The adjacency is a numpy
-    CSR for n <= NUMPY_MAX_N (no scipy import), applied one column at a time
-    by a gather and a segment sum, and a scipy CSR above.
+    CSR (no scipy import), applied one column at a time by a gather and a
+    segment sum, or with ``use_scipy`` a scipy CSR, whose matvec is about 3x
+    faster but whose import costs about 0.35 s on a 2-core Xeon.
     """
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, use_scipy: bool = False):
         n = graph.n
         self.graph = graph
         self._inv_sqrt_d = 1.0 / np.sqrt(graph.degrees.astype(float))
         self._adj = None
-        if n <= NUMPY_MAX_N:
-            # A writeable copy: np.take gathers several times slower through
-            # the graph's read-only index array.
-            self._indices = graph.indices.copy()
-            self._starts = graph.indptr[:-1]
-        else:
+        if use_scipy:
             from scipy.sparse import csr_array
 
             self._adj = csr_array(
                 (np.ones(len(graph.indices)), graph.indices, graph.indptr), shape=(n, n))
+        else:
+            # A writeable copy: np.take gathers several times slower through
+            # the graph's read-only index array.
+            self._indices = graph.indices.copy()
+            self._starts = graph.indptr[:-1]
 
     def _adj_times(self, y: np.ndarray) -> np.ndarray:
         if self._adj is not None:
@@ -91,6 +95,14 @@ class LaplacianOps:
         """(I + N) x = (2I - laplacian) x; the power-iteration operator."""
         x = np.asarray(x, dtype=float)
         return x + self._norm_adj(x)
+
+
+def _krylov_fits(g: Graph, pairs: int) -> bool:
+    """Whether filling one block Krylov basis for ``pairs`` eigenpairs, a
+    column per step, fits NUMPY_MAX_WORK; where it does not, spectrum goes
+    straight to ARPACK."""
+    cap = min(g.n, max(_KRYLOV_BASIS, 2 * pairs))
+    return cap * (len(g.indices) + _SWEEP_WEIGHT * g.n * cap) <= NUMPY_MAX_WORK
 
 
 @dataclass(frozen=True)
@@ -132,8 +144,10 @@ def _expansion(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
     return block
 
 
-def _block_krylov(ops: LaplacianOps, pairs: int):
-    """The ``pairs`` largest eigenpairs (theta ascending, vectors) of I + N.
+def _block_krylov(g: Graph, pairs: int):
+    """The ``pairs`` largest eigenpairs of I + N on numpy: (ops, theta
+    ascending, vectors), or None when one basis does not fit NUMPY_MAX_WORK
+    (_krylov_fits), when the budget is spent, or when the basis stops growing.
 
     Block Krylov-Schur, i.e. block Davidson with no preconditioner. The start
     block holds ``pairs`` Gaussian columns from ``rng_stream(0, "spectral",
@@ -141,21 +155,26 @@ def _block_krylov(ops: LaplacianOps, pairs: int):
     ``pairs``. Each step adds the orthonormalized residuals of the Ritz pairs
     not yet converged and extends the projected matrix by their products; a
     basis at its column cap restarts to its top half of Ritz vectors. Done
-    when every residual is at most RESIDUAL_RTOL / 100; NumericError once
-    _KRYLOV_COLS_PER_VERTEX * n matvec columns are spent.
+    when every residual is at most RESIDUAL_RTOL / 100. Small eigengaps (long
+    paths and cycles) can take tens of thousands of columns; the budget hands
+    those to ARPACK after about a scipy import's worth of work.
     """
-    n = ops.graph.n
+    if not _krylov_fits(g, pairs):
+        return None
+    n, nnz = g.n, len(g.indices)
     cap = min(n, max(_KRYLOV_BASIS, 2 * pairs))
+    ops = LaplacianOps(g)
     # The basis V and its image (I + N)V fill the leading columns of two
     # preallocated arrays; a restart may leave them up to pairs over the cap.
     basis, image = (np.empty((n, cap + pairs), order="F") for _ in range(2))
     proj = np.empty((cap + pairs, cap + pairs))
     new = _expansion(basis[:, :0], rng_stream(0, "spectral", "spectrum")
                      .standard_normal((n, pairs)))
-    size = cols = 0
+    size = work = 0
     while True:
         new_image = ops.apply_shifted(new)
-        cols, grown = cols + new.shape[1], size + new.shape[1]
+        grown = size + new.shape[1]
+        work += new.shape[1] * nnz + _SWEEP_WEIGHT * n * grown
         proj[:size, size:grown] = basis[:, :size].T @ new_image
         proj[size:grown, size:grown] = new.T @ new_image
         basis[:, size:grown], image[:, size:grown], size = new, new_image, grown
@@ -164,10 +183,9 @@ def _block_krylov(ops: LaplacianOps, pairs: int):
         resid = image[:, :size] @ rot[:, -pairs:] - ritz * theta[-pairs:]
         open_ = np.linalg.norm(resid, axis=0) > RESIDUAL_RTOL / 100
         if not open_.any():
-            return theta[-pairs:], ritz
-        if cols >= _KRYLOV_COLS_PER_VERTEX * n:
-            raise NumericError("block Krylov eigensolve did not converge in %d matvecs"
-                               % cols)
+            return ops, theta[-pairs:], ritz
+        if work > NUMPY_MAX_WORK:
+            return None
         if size + open_.sum() > cap:
             keep = rot[:, -max(cap // 2, pairs):]
             basis[:, :keep.shape[1]] = basis[:, :size] @ keep
@@ -176,21 +194,21 @@ def _block_krylov(ops: LaplacianOps, pairs: int):
             proj[:size, :size] = np.diag(theta[-size:])
         new = _expansion(basis[:, :size], resid[:, open_])
         if new.shape[1] == 0:
-            raise NumericError("block Krylov basis stopped growing")
+            return None
 
 
-def _arpack(ops: LaplacianOps, pairs: int):
-    """The ``pairs`` largest eigenpairs of I + N from ARPACK's Lanczos solver
-    (``eigsh``, ``which="LA"``, ``tol=0``), started from ``rng_stream(0,
-    "spectral", "spectrum")``."""
+def _arpack(g: Graph, pairs: int):
+    """The ``pairs`` largest eigenpairs of I + N on a scipy CSR from ARPACK's
+    Lanczos solver (``eigsh``, ``which="LA"``, ``tol=0``), started from
+    ``rng_stream(0, "spectral", "spectrum")``: (ops, theta, vectors)."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    n = ops.graph.n
-    shifted = LinearOperator((n, n), matvec=ops.apply_shifted,
+    ops = LaplacianOps(g, use_scipy=True)
+    shifted = LinearOperator((g.n, g.n), matvec=ops.apply_shifted,
                              matmat=ops.apply_shifted, dtype=float)
-    v0 = rng_stream(0, "spectral", "spectrum").standard_normal(n)
+    v0 = rng_stream(0, "spectral", "spectrum").standard_normal(g.n)
     try:
-        return eigsh(shifted, k=pairs, which="LA", tol=0, v0=v0)
+        return (ops,) + eigsh(shifted, k=pairs, which="LA", tol=0, v0=v0)
     except ArpackError as exc:
         raise NumericError("sparse eigensolve failed: %s" % exc) from exc
 
@@ -199,27 +217,27 @@ def spectrum(g: Graph, k: int) -> EigenSystem:
     """The min(k+1, n) lowest eigenpairs of the normalized Laplacian I - N.
 
     An iterative solver finds the largest eigenvalues theta of I + N through
-    LaplacianOps matvecs, and lambda = 2 - theta: _block_krylov on numpy for
-    n <= NUMPY_MAX_N (so these graphs load no scipy), ARPACK above. Both start
-    from the fixed stream ``rng_stream(0, "spectral", "spectrum")``, so the
-    result is deterministic per graph. Where ARPACK cannot run (k+1 >= n-1),
-    and at n <= BRUTEFORCE_MAX_N, sym_eig solves the dense I - N instead.
-    Either way values are ascending, vectors follow the sym_eig sign rule, and
-    every pair must pass ||(I - N)v - lambda v|| <= RESIDUAL_RTOL with columns
+    LaplacianOps matvecs, and lambda = 2 - theta: _block_krylov on numpy
+    while its work stays within NUMPY_MAX_WORK (so these graphs load no
+    scipy), else ARPACK on a scipy CSR. Both start from the fixed stream
+    ``rng_stream(0, "spectral", "spectrum")``, so the result is deterministic
+    per graph. Where ARPACK cannot run (k+1 >= n-1), and at n <=
+    BRUTEFORCE_MAX_N, sym_eig solves the dense I - N instead. Either way
+    values are ascending, vectors follow the sym_eig sign rule, and every
+    pair must pass ||(I - N)v - lambda v|| <= RESIDUAL_RTOL with columns
     orthonormal to ORTHONORMALITY_TOL, else NumericError.
     """
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
     n = g.n
     pairs = min(k + 1, n)
-    ops = LaplacianOps(g)
     if pairs >= n - 1 or n <= BRUTEFORCE_MAX_N:
+        ops = LaplacianOps(g)
         full = sym_eig(ops.apply_laplacian(np.eye(n)))
         values = full.values[:pairs].copy()
         vectors = full.vectors[:, :pairs].copy()
     else:
-        solve = _block_krylov if n <= NUMPY_MAX_N else _arpack
-        theta, vectors = solve(ops, pairs)
+        ops, theta, vectors = _block_krylov(g, pairs) or _arpack(g, pairs)
         order = np.argsort(-theta, kind="stable")
         values = 2.0 - theta[order]
         vectors = np.ascontiguousarray(vectors[:, order])
@@ -279,14 +297,18 @@ def power_embedding(g: Graph, k: int, steps: int, seed: int) -> Embedding:
     block is re-orthonormalized by a QR after every application, so its
     columns cannot all drift toward the top eigenvector. A diagonal entry of
     R below _RANK_COLLAPSE_RTOL times the largest one means the block lost
-    rank, and raises NumericError. Runtime O(m k p + n k^2 p). Deterministic
-    for fixed (graph, k, steps, seed).
+    rank, and raises NumericError. The matvecs run on numpy while their
+    steps * k columns fit NUMPY_MAX_WORK, unless the spectrum that power mode
+    needs first already runs ARPACK (not _krylov_fits), else on scipy.
+    Runtime O(m k p + n k^2 p). Deterministic for fixed (graph, k, steps,
+    seed).
     """
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
     if steps < 1:
         raise InputError("power iteration needs at least 1 step")
-    ops = LaplacianOps(g)
+    ops = LaplacianOps(g, use_scipy=not _krylov_fits(g, k + 1)
+                       or steps * k * len(g.indices) > NUMPY_MAX_WORK)
     block = gaussian_matrix(g.n, k, seed)
     for _ in range(steps):
         block, r = np.linalg.qr(ops.apply_shifted(block))

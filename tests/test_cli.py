@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -561,6 +562,29 @@ def test_failed_run_leaves_out_as_it_was(tmp_path, capsys):
     assert old.read_text() == "an older, longer report\n"
 
 
+@pytest.mark.parametrize("command", ["cluster", "diagnose", "verify"])
+def test_out_may_be_a_device(capsys, command):
+    """/dev/null cannot be truncated; the report still goes out with exit 0."""
+    assert main([command, "--gen", "ring:k=3,size=3,b=1", "--k", "3", "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_may_be_a_fifo(tmp_path, capsys):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()))
+    reader.start()
+    try:
+        code = main(["cluster", "--gen", "ring:k=3,size=3,b=1", "--k", "3", "--out", str(fifo)])
+    finally:
+        reader.join(timeout=60)
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(received[0])["graph"] == {"n": 9, "m": 12}
+
+
 def test_out_may_name_the_input(tmp_path, capsys):
     """The report path is opened up front but not truncated before the input is read."""
     path = tmp_path / "g.txt"
@@ -614,9 +638,9 @@ def _scipy_loaded_after(commands):
 def test_package_import_loads_no_scipy(tmp_path):
     """Import alone; verify, both cluster modes and diagnose on a graph file
     of at most 14 vertices; and both cluster modes and diagnose on a
-    bench-shaped SBM of 1200 vertices all stay on numpy. Above NUMPY_MAX_N
-    vertices the spectrum loads scipy (verify rejects such graphs before any
-    solve)."""
+    bench-shaped SBM of 1200 vertices all stay on numpy. A graph whose first
+    block Krylov basis alone costs more than NUMPY_MAX_WORK loads scipy for
+    the spectrum (verify rejects such graphs before any solve)."""
     small, sbm, large = (tmp_path / name for name in ("hub10.txt", "sbm.txt", "large.txt"))
     small.write_text("".join("%d %d\n" % (u, v) for u, v in triangles_with_center().edges.tolist()))
     part = tmp_path / "hub10.part"
@@ -624,7 +648,8 @@ def test_package_import_loads_no_scipy(tmp_path):
     g, planted = gen_sbm([150] * 8, 0.12, 0.008, seed=1)
     write_edge_list(g, sbm)
     write_partition(planted, tmp_path / "sbm.part")
-    size = spectral.NUMPY_MAX_N // 4 + 2
+    basis_work_per_vertex = spectral._SWEEP_WEIGHT * spectral._KRYLOV_BASIS ** 2
+    size = spectral.NUMPY_MAX_WORK // (4 * basis_work_per_vertex) + 1
     write_edge_list(gen_sbm([size] * 4, 24.0 / size, 1.0 / size, seed=4)[0], large)
     out = ["--out", str(tmp_path / "rep.json")]
 

@@ -6,7 +6,7 @@ from spectralpart import (Embedding, GapError, InputError, LaplacianOps,
                           exact_embedding, gen_ring_of_cliques, gen_sbm,
                           optimal_cost_bruteforce, power_embedding,
                           projection_distance, required_power_steps,
-                          separation_ratio)
+                          separation_ratio, spectral)
 from spectralpart.linalg import RESIDUAL_RTOL
 from conftest import complete_graph, dense_laplacian, disjoint_cliques
 
@@ -170,6 +170,28 @@ class TestPowerEmbedding:
     def test_params_validation(self):
         with pytest.raises(InputError, match="at least 1 step"):
             power_embedding(complete_graph(4), 2, 0, 0)
+
+    def test_matvec_route_follows_the_budget(self, monkeypatch):
+        """numpy while steps * k columns fit NUMPY_MAX_WORK and the spectrum
+        runs on numpy too; scipy otherwise; the same subspace either way."""
+        g, _ = gen_ring_of_cliques(3, 20, 1, seed=3)
+        routes = []
+        real_init = LaplacianOps.__init__
+
+        def spy(self, graph, use_scipy=False):
+            routes.append(use_scipy)
+            real_init(self, graph, use_scipy)
+
+        monkeypatch.setattr(LaplacianOps, "__init__", spy)
+        work = 30 * 3 * len(g.indices)
+        embeddings = []
+        for budget, krylov_fits in ((work, True), (work - 1, True), (10 ** 12, False)):
+            monkeypatch.setattr(spectral, "NUMPY_MAX_WORK", budget)
+            monkeypatch.setattr(spectral, "_krylov_fits", lambda *args, fits=krylov_fits: fits)
+            embeddings.append(power_embedding(g, 3, 30, 1))
+        assert routes == [False, True, True]
+        for emb in embeddings[1:]:
+            assert projection_distance(embeddings[0], emb) <= 1e-10
 
 
 class TestProjectionDistance:

@@ -1,6 +1,6 @@
 """The spectrum stage against the dense sym_eig oracle on both iterative
-routes (the numpy block Krylov solver up to NUMPY_MAX_N vertices, ARPACK
-above), and its dense path (n <= BRUTEFORCE_MAX_N) against ARPACK."""
+routes (the numpy block Krylov solver within NUMPY_MAX_WORK, ARPACK past
+it), and its dense path (n <= BRUTEFORCE_MAX_N) against ARPACK."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ import scipy.sparse.linalg as sparse_linalg
 from spectralpart import (EigenSystem, InputError, NumericError, gen_ring_of_cliques,
                           gen_sbm, projection_distance, spectral, spectrum, sym_eig)
 from spectralpart.linalg import BRUTEFORCE_MAX_N
-from spectralpart.spectral import NUMPY_MAX_N
+from spectralpart.spectral import NUMPY_MAX_WORK, _KRYLOV_BASIS, _SWEEP_WEIGHT
 from conftest import (complete_graph, cycle_graph, dense_laplacian, disjoint_cliques,
                       path_graph, planted_ten, random_connected_graph, ring_of_cliques,
                       triangles_with_center)
@@ -37,9 +37,9 @@ LADDER = {
 
 @pytest.fixture
 def arpack_route(monkeypatch):
-    """Lower the numpy cap to BRUTEFORCE_MAX_N, so every graph above the
-    dense rule takes the scipy CSR and ARPACK."""
-    monkeypatch.setattr(spectral, "NUMPY_MAX_N", BRUTEFORCE_MAX_N)
+    """Give numpy no work, so every graph above the dense rule takes the
+    scipy CSR and ARPACK."""
+    monkeypatch.setattr(spectral, "NUMPY_MAX_WORK", 0)
 
 
 def assert_matches_oracle(g, k):
@@ -61,12 +61,10 @@ def assert_matches_oracle(g, k):
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_ladder_matches_dense_oracle(monkeypatch, name):
     def no_arpack(*args, **kwargs):
-        raise AssertionError("ARPACK called at n <= NUMPY_MAX_N")
+        raise AssertionError("ARPACK called within NUMPY_MAX_WORK")
 
     monkeypatch.setattr(sparse_linalg, "eigsh", no_arpack)
-    g, k = LADDER[name]()
-    assert g.n <= NUMPY_MAX_N
-    assert_matches_oracle(g, k)
+    assert_matches_oracle(*LADDER[name]())
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
@@ -75,12 +73,8 @@ def test_arpack_ladder_matches_dense_oracle(arpack_route, name):
     assert_matches_oracle(g, k)
 
 
-def test_above_the_cap_uses_arpack(monkeypatch):
-    """A real graph above NUMPY_MAX_N goes to ARPACK; the block Krylov solver
-    (with the cap raised) is the independent check, since a dense oracle at
-    this size is too slow for a unit test."""
-    sizes = [NUMPY_MAX_N // 4 + 2] * 4
-    g, _ = gen_sbm(sizes, 24.0 / sizes[0], 1.0 / sizes[0], seed=4)
+def counting_eigsh(monkeypatch):
+    """Patch eigsh to record the k of every call; returns the record."""
     calls = []
     real = sparse_linalg.eigsh
 
@@ -89,9 +83,20 @@ def test_above_the_cap_uses_arpack(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sparse_linalg, "eigsh", counting)
+    return calls
+
+
+def test_graph_past_the_budget_uses_arpack(monkeypatch):
+    """A graph whose first Krylov basis alone costs more than NUMPY_MAX_WORK
+    goes straight to ARPACK; the block Krylov solver (with the budget raised)
+    is the independent check, since a dense oracle at this size is too slow
+    for a unit test."""
+    size = NUMPY_MAX_WORK // (4 * _SWEEP_WEIGHT * _KRYLOV_BASIS ** 2) + 1
+    g, _ = gen_sbm([size] * 4, 24.0 / size, 1.0 / size, seed=4)
+    calls = counting_eigsh(monkeypatch)
     eig = spectrum(g, 4)
     assert calls == [5]
-    monkeypatch.setattr(spectral, "NUMPY_MAX_N", g.n)
+    monkeypatch.setattr(spectral, "NUMPY_MAX_WORK", 10 * NUMPY_MAX_WORK)
     krylov = spectrum(g, 4)
     assert calls == [5]
     assert np.abs(eig.values - krylov.values).max() <= VALUE_TOL
@@ -103,9 +108,29 @@ def test_krylov_handles_pairs_near_n():
     assert_matches_oracle(path_graph(BRUTEFORCE_MAX_N + 2), BRUTEFORCE_MAX_N - 2)
 
 
-def test_krylov_budget_raises(monkeypatch):
-    monkeypatch.setattr(spectral, "_KRYLOV_COLS_PER_VERTEX", 0.5)
-    with pytest.raises(NumericError, match="did not converge"):
+def test_small_eigengap_spends_the_budget_then_uses_arpack(monkeypatch):
+    """A long cycle (double eigenvalues, eigengaps ~ 1/n^2) needs far more
+    Krylov work than NUMPY_MAX_WORK: the solve moves to ARPACK and returns
+    exactly what ARPACK alone returns."""
+    g = cycle_graph(800)
+    assert spectral._krylov_fits(g, 5)
+    calls = counting_eigsh(monkeypatch)
+    eig = spectrum(g, 4)
+    assert calls == [5]
+    monkeypatch.setattr(spectral, "NUMPY_MAX_WORK", 0)
+    alone = spectrum(g, 4)
+    assert calls == [5, 5]
+    assert np.array_equal(eig.values, alone.values)
+    assert np.array_equal(eig.vectors, alone.vectors)
+
+
+def test_arpack_failure_raises(arpack_route, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise sparse_linalg.ArpackNoConvergence("no convergence", np.empty(0),
+                                                np.empty((0, 0)))
+
+    monkeypatch.setattr(sparse_linalg, "eigsh", no_convergence)
+    with pytest.raises(NumericError, match="sparse eigensolve failed"):
         spectrum(cycle_graph(200), 4)
 
 
@@ -134,14 +159,7 @@ def test_tiny_graphs_take_the_dense_branch(monkeypatch, make, k):
 
 
 def test_small_graph_above_the_rule_uses_arpack(arpack_route, monkeypatch):
-    calls = []
-    real = sparse_linalg.eigsh
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["k"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sparse_linalg, "eigsh", counting)
+    calls = counting_eigsh(monkeypatch)
     assert_matches_oracle(path_graph(BRUTEFORCE_MAX_N + 2), 2)
     assert calls == [3]
 
@@ -218,7 +236,7 @@ def test_two_calls_bit_identical(monkeypatch):
 
     for g, k in (LADDER["sbm-500"](), LADDER["cycle-200"](), (complete_graph(9), 3)):
         assert_repeats(g, k)
-    monkeypatch.setattr(spectral, "NUMPY_MAX_N", BRUTEFORCE_MAX_N)
+    monkeypatch.setattr(spectral, "NUMPY_MAX_WORK", 0)
     assert_repeats(*LADDER["sbm-500"]())
 
 
@@ -242,14 +260,14 @@ def test_k_out_of_range():
 def test_numpy_route_keeps_the_gates(monkeypatch):
     real = spectral._block_krylov
 
-    def shifted_values(ops, pairs):
-        theta, vectors = real(ops, pairs)
-        return theta + 1e-3, vectors
+    def shifted_values(g, pairs):
+        ops, theta, vectors = real(g, pairs)
+        return ops, theta + 1e-3, vectors
 
-    def repeated_vector(ops, pairs):
-        theta, vectors = real(ops, pairs)
+    def repeated_vector(g, pairs):
+        ops, theta, vectors = real(g, pairs)
         vectors[:, 1], theta[1] = vectors[:, 0], theta[0]
-        return theta, vectors
+        return ops, theta, vectors
 
     g = LADDER["ring-100"]()[0]
     monkeypatch.setattr(spectral, "_block_krylov", shifted_values)
