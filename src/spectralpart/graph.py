@@ -186,16 +186,10 @@ def match_partitions(g: Graph, a: Partition, b: Partition) -> np.ndarray:
     """Permutation pi minimizing sum_i volume(A_i symdiff B_pi(i)).
 
     The per-block volumes are permutation invariant, so this is the
-    assignment maximizing the total overlap volume; it is solved exactly by
-    a full bipartite matching on the k-by-k overlap matrix. Adding 1 to every
-    entry stores all k^2 pairs as edges (zero overlaps included) and adds
-    exactly k to every full matching, so the optimum is unchanged. Returns pi
-    as an array with pi[i] = matched block of b for block i of a.
+    assignment maximizing the total overlap volume, solved exactly on the
+    k-by-k overlap matrix by _max_assignment. Returns pi as an array with
+    pi[i] = matched block of b for block i of a.
     """
-    # Imported here so that this module needs only numpy at import time.
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-
     _check_partition(g, a)
     _check_partition(g, b)
     if a.k != b.k:
@@ -204,8 +198,42 @@ def match_partitions(g: Graph, a: Partition, b: Partition) -> np.ndarray:
     covered = (a.labels >= 0) & (b.labels >= 0)
     overlap = np.zeros((k, k))
     np.add.at(overlap, (a.labels[covered], b.labels[covered]), g.degrees[covered])
-    _, cols = min_weight_full_bipartite_matching(csr_array(overlap + 1.0), maximize=True)
-    return cols.astype(np.int64)
+    return _max_assignment(overlap)
+
+
+def _max_assignment(weight: np.ndarray) -> np.ndarray:
+    """Column of each row in an assignment of maximum total weight: the
+    Hungarian method (Kuhn 1955, Munkres 1957) with row and column
+    potentials, one shortest augmenting path per row, O(k^3).
+
+    Index 0 of the column arrays is a virtual column that holds the row being
+    added; ``match[j]`` is the row (1-based, 0 for none) of column j.
+    """
+    k = weight.shape[0]
+    cost = -weight
+    row_pot, col_pot = np.zeros(k + 1), np.zeros(k + 1)
+    match, via = np.zeros(k + 1, dtype=np.int64), np.zeros(k + 1, dtype=np.int64)
+    for row in range(1, k + 1):
+        match[0], col = row, 0
+        slack, done = np.full(k + 1, np.inf), np.zeros(k + 1, dtype=bool)
+        while match[col]:
+            done[col] = True
+            reduced = cost[match[col] - 1] - row_pot[match[col]] - col_pot[1:]
+            closer = ~done[1:] & (reduced < slack[1:])
+            slack[1:][closer] = reduced[closer]
+            via[1:][closer] = col
+            nxt = int(np.argmin(np.where(done, np.inf, slack)))
+            step = slack[nxt]
+            row_pot[match[done]] += step
+            col_pot[done] -= step
+            slack[~done] -= step
+            col = nxt
+        while col:  # flip the augmenting path back to the virtual column
+            match[col] = match[via[col]]
+            col = via[col]
+    pi = np.empty(k, dtype=np.int64)
+    pi[match[1:] - 1] = np.arange(k)
+    return pi
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,22 @@ duplicated unit-weight copies, which is how degree-weighted graph embeddings
 enter. Ties in assignment always go to the lowest center index, and every
 random draw comes from a labelled sub-stream, so all routines are
 deterministic functions of (input, seed).
+
+Distances are defined by the per-center expression np.sum((x - c) ** 2,
+axis=1); the restarts compute them with whole-array numpy calls (one GEMM
+per assignment, with an exact recheck of near ties, and bincount means)
+and reproduce that definition bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateError, InputError
+from .errors import CapacityError, DegenerateError, InputError, NumericError
 from .linalg import BRUTEFORCE_MAX_N, _partition_layers, _split_blocks, _splits, rng_stream
 
 #: Radius factor of the ball-restricted center refinement step.
@@ -75,7 +81,7 @@ class Clustering:
 
 
 def _cost(pts: WeightedPoints, labels: np.ndarray, centers: np.ndarray) -> float:
-    diffs = pts.coords - centers[labels]
+    diffs = pts.coords - centers.take(labels, axis=0)
     return float(np.sum(pts.weights * np.einsum("ij,ij->i", diffs, diffs)))
 
 
@@ -84,36 +90,114 @@ def cost(pts: WeightedPoints, clustering: Clustering) -> float:
     return _cost(pts, clustering.labels, clustering.centers)
 
 
-def _assign(pts: WeightedPoints, centers: np.ndarray) -> np.ndarray:
-    """Nearest-center labels in n x k memory; exact ties go to the lowest center index."""
-    d2 = np.column_stack([np.sum((pts.coords - c) ** 2, axis=1) for c in centers])
-    return np.argmin(d2, axis=1)
+def _sq_dists(coords: np.ndarray, center: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """Exact squared distances np.sum((coords - center) ** 2, axis=1): the
+    expression every label and seeding draw is defined by. ``buf``, shaped
+    like coords, saves the allocation of the differences."""
+    diff = np.subtract(coords, center, out=buf)
+    return np.sum(np.square(diff, out=diff), axis=1)
 
 
-def _weighted_means(pts: WeightedPoints, labels: np.ndarray, k: int,
+def _cdf(probs: np.ndarray, total: float) -> np.ndarray:
+    """The cumulative distribution Generator.choice(len(probs), p=probs /
+    total) builds; drawing from it with _draw repeats choice's draw."""
+    if not total < math.inf:
+        raise NumericError("seeding weights overflow")
+    cdf = np.cumsum(probs / total)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+class _Shared:
+    """Arrays of one point set that every restart and Lloyd step reads, made
+    once per best_of_orss call: x^T for the distance GEMM, the per-point part
+    of _assign's rounding margin, the columns w and w x[:, j] the means sum,
+    and (on first use) the first-center distribution of the seeding."""
+
+    def __init__(self, pts: WeightedPoints):
+        self.pts = pts
+        self.xt = np.ascontiguousarray(pts.coords.T)
+        self.tie_rtol = 16 * (pts.dim + 2) * np.finfo(float).eps
+        self.slack = (self.tie_rtol * np.einsum("ij,ij->i", pts.coords, pts.coords)
+                      + np.finfo(float).tiny)
+        self.wx = np.vstack([pts.weights, pts.weights * self.xt])
+
+    @functools.cached_property
+    def first_center(self) -> tuple[float, np.ndarray | None]:
+        """(total, cdf) of the weights w_x (W ||x - mean||^2 + total spread)."""
+        x, w = self.pts.coords, self.pts.weights
+        total_w = w.sum()
+        mean = (w[:, None] * x).sum(axis=0) / total_w
+        d2_mean = _sq_dists(x, mean)
+        spread = float((w * d2_mean).sum())
+        probs = w * (total_w * d2_mean + spread)
+        total = probs.sum()
+        return total, (_cdf(probs, total) if total > 0 else None)
+
+
+def _assign(shared: _Shared, centers: np.ndarray) -> np.ndarray:
+    """Nearest-center labels in O(n (k + d)) memory, equal to the argmin over
+    centers c of the exact _sq_dists(x, c), exact ties to the lowest index.
+
+    One GEMM estimates e_c(x) = |c|^2 - 2 c.x = |x - c|^2 - |x|^2 for every
+    center at once. With u = 2^-53, g = (d + 2) u / (1 - (d + 2) u) and
+    M = |x|^2 + max_c |c|^2, an estimate is off by at most 2 g M (a dot
+    product in any summation order errs by at most g_d |a|.|b|; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 3.5), and
+    the exact expression by at most g |x - c|^2 <= 2 g M. So a point whose
+    runner-up estimate trails its best by more than 8 g M has that same
+    nearest center, alone, under the exact expression. The margin used,
+    16 (d + 2) eps M + tiny (eps = 2u; the smallest normal covers
+    underflow), is four times that; a point with a second center within the
+    margin of its best, or with a non-finite estimate, is recomputed exactly.
+    """
+    k = centers.shape[0]
+    est = (-2.0 * centers) @ shared.xt
+    norms = np.einsum("ij,ij->i", centers, centers)
+    est += norms[:, None]
+    cutoff = est.min(axis=0) + shared.slack
+    cutoff += shared.tie_rtol * norms.max()
+    # Row 0 counts the centers within the margin, row 1 sums their indices:
+    # for a point with one such center, that center's label.
+    count, index = np.stack([np.ones(k), np.arange(k, dtype=float)]) @ (est <= cutoff)
+    labels = index.astype(np.int64)
+    recheck = np.flatnonzero((count != 1) | ~np.isfinite(cutoff))
+    if recheck.size:
+        near = shared.pts.coords[recheck]
+        labels[recheck] = np.argmin(np.column_stack([_sq_dists(near, c) for c in centers]),
+                                    axis=1)
+    return labels
+
+
+def _weighted_means(wx: np.ndarray, labels: np.ndarray, k: int,
                     fallback: np.ndarray) -> np.ndarray:
+    """Weighted cluster means from the rows of wx = [w; w x[:, 0]; ...]; an
+    empty cluster keeps its fallback center.
+
+    np.bincount adds each cluster's terms in index order, as a masked
+    (w x)[mask].sum(axis=0) does for d >= 2. A masked w.sum() adds pairwise,
+    so for non-integer weights (degree weights are integers, summed exactly)
+    and for one-dimensional points a mean may differ from it in the last bit.
+    """
+    sums = np.column_stack([np.bincount(labels, weights=row, minlength=k) for row in wx])
+    full = sums[:, 0] > 0
     centers = fallback.copy()
-    for i in range(k):
-        mask = labels == i
-        if mask.any():
-            w = pts.weights[mask]
-            centers[i] = (w[:, None] * pts.coords[mask]).sum(axis=0) / w.sum()
+    centers[full] = sums[full, 1:] / sums[full, :1]
     return centers
 
 
-def lloyd_step(pts: WeightedPoints, clustering: Clustering) -> Clustering:
-    """One assignment + recenter pass; cost never increases.
-
-    An emptied cluster is re-seeded at the point with the largest weighted
-    distance contribution (next-largest for further empties, never draining a
-    cluster to empty), keeping the step deterministic.
-    """
-    k = clustering.k
-    labels = _assign(pts, clustering.centers)
+def _recenter(shared: _Shared, clustering: Clustering, labels: np.ndarray) -> Clustering:
+    """The rest of a Lloyd step from its assignment ``labels``: empty-cluster
+    repair, weighted means and cost."""
+    pts, k = shared.pts, clustering.k
     # Repairs never empty a cluster, so the empty ones are known up front.
     empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
     if empty.size:
-        contrib = pts.weights * np.sum((pts.coords - clustering.centers[labels]) ** 2, axis=1)
+        contrib = pts.weights * _sq_dists(pts.coords, clustering.centers[labels])
     for i in empty:
         counts = np.bincount(labels, minlength=k)
         candidates = np.flatnonzero((counts[labels] > 1) & (contrib > -np.inf))
@@ -122,15 +206,33 @@ def lloyd_step(pts: WeightedPoints, clustering: Clustering) -> Clustering:
         j = candidates[np.argmax(contrib[candidates])]
         labels[j] = i
         contrib[j] = -np.inf
-    centers = _weighted_means(pts, labels, k, clustering.centers)
+    centers = _weighted_means(shared.wx, labels, k, clustering.centers)
     return Clustering(labels=labels, centers=centers, cost=_cost(pts, labels, centers))
 
 
-def _lloyd_to_fixpoint(pts: WeightedPoints, centers: np.ndarray, k: int) -> Clustering:
-    current = lloyd_step(pts, Clustering(labels=np.zeros(pts.n, dtype=np.int64),
-                                         centers=centers, cost=math.inf))
+def lloyd_step(pts: WeightedPoints, clustering: Clustering) -> Clustering:
+    """One assignment + recenter pass; cost never increases.
+
+    Each point goes to its exactly nearest center (ties to the lowest index)
+    and each center moves to its cluster's weighted mean. An emptied cluster
+    is re-seeded at the point with the largest weighted distance contribution
+    (next-largest for further empties, never draining a cluster to empty),
+    keeping the step deterministic.
+    """
+    shared = _Shared(pts)
+    return _recenter(shared, clustering, _assign(shared, clustering.centers))
+
+
+def _lloyd_to_fixpoint(shared: _Shared, centers: np.ndarray) -> Clustering:
+    current = _recenter(shared, Clustering(labels=np.zeros(shared.pts.n, dtype=np.int64),
+                                           centers=centers, cost=math.inf),
+                        _assign(shared, centers))
     for _ in range(_LLOYD_MAX_ITER):
-        nxt = lloyd_step(pts, current)
+        labels = _assign(shared, current.centers)
+        # Same labels, no empty cluster: the step would rebuild current exactly.
+        if np.array_equal(labels, current.labels):
+            return current
+        nxt = _recenter(shared, current, labels)
         if nxt.cost >= current.cost - 1e-15:
             return current if current.cost <= nxt.cost else nxt
         current = nxt
@@ -144,61 +246,75 @@ def orss_kmeans(pts: WeightedPoints, k: int, seed: int) -> Clustering:
     w_x (W ||x - mean||^2 + total spread), i.e. the pairwise-cost rule that
     mixes distance-squared mass with a spread-proportional floor; each further
     center is drawn proportional to w_x times squared distance to the chosen
-    set. One ball-restricted refinement then recenters each seed on the
-    points within a third of the distance to its nearest other seed, and a
-    full Lloyd pass runs to a fixed point. Deterministic given seed.
+    set. Each draw is Generator.choice's, from the cumulative distribution.
+    One ball-restricted refinement then recenters each seed on the points
+    within a third of the distance to its nearest other seed, and a full
+    Lloyd pass runs to a fixed point (it stops as soon as a step reassigns
+    no point). Deterministic given seed. Raises DegenerateError when fewer
+    than k points carry seeding weight, NumericError when that weight
+    overflows.
     """
+    return _orss(_Shared(pts), k, seed)
+
+
+def _orss(shared: _Shared, k: int, seed: int) -> Clustering:
+    pts = shared.pts
     if k < 1:
         raise InputError("k must be >= 1")
     if pts.n < k:
         raise InputError("need at least k points")
     rng = rng_stream(seed, "kmeans", "seeding")
+    x, w = pts.coords, pts.weights
 
-    w = pts.weights
-    total_w = w.sum()
-    mean = (w[:, None] * pts.coords).sum(axis=0) / total_w
-    d2_mean = np.sum((pts.coords - mean) ** 2, axis=1)
-    spread = float((w * d2_mean).sum())
-
-    probs = w * (total_w * d2_mean + spread)
-    if probs.sum() <= 0:  # only on failure is it worth counting distinct points
-        few = len(np.unique(pts.coords, axis=0)) < k
+    total, cdf = shared.first_center
+    if total <= 0:  # only on failure is it worth counting distinct points
+        few = len(np.unique(x, axis=0)) < k
         raise DegenerateError("fewer than k distinct points" if few else "all points coincide")
-    centers = [pts.coords[rng.choice(pts.n, p=probs / probs.sum())]]
-    cols = [np.sum((pts.coords - centers[0]) ** 2, axis=1)]  # reused by the ball refinement
+    buf = np.empty_like(x)
+    centers = [x[_draw(rng, cdf)]]
+    cols = [_sq_dists(x, centers[0], buf)]  # reused by the ball refinement
     d2_near = cols[0]
     for _ in range(1, k):
         probs = w * d2_near
-        if probs.sum() <= 0:  # each point is on, or underflows to, a chosen center
+        total = probs.sum()
+        if total <= 0:  # each point is on, or underflows to, a chosen center
             raise DegenerateError("fewer than k distinct points")
-        centers.append(pts.coords[rng.choice(pts.n, p=probs / probs.sum())])
-        cols.append(np.sum((pts.coords - centers[-1]) ** 2, axis=1))
+        centers.append(x[_draw(rng, _cdf(probs, total))])
+        cols.append(_sq_dists(x, centers[-1], buf))
         d2_near = np.minimum(d2_near, cols[-1])
     centers = np.array(centers)
 
     if k > 1:
+        gaps = np.sum((centers[:, None, :] - centers) ** 2, axis=2)
+        np.fill_diagonal(gaps, np.inf)
+        radius2 = (BALL_RADIUS_FACTOR ** 2) * gaps.min(axis=1)
         refined = centers.copy()
         for i in range(k):
-            gaps = np.sum((np.delete(centers, i, axis=0) - centers[i]) ** 2, axis=1)
-            radius2 = (BALL_RADIUS_FACTOR ** 2) * gaps.min()
-            ball = cols[i] <= radius2
-            if ball.any():
-                bw = w[ball]
-                refined[i] = (bw[:, None] * pts.coords[ball]).sum(axis=0) / bw.sum()
+            ball = np.flatnonzero(cols[i] <= radius2[i])
+            if ball.size:
+                bw = w.take(ball)
+                refined[i] = (bw[:, None] * x.take(ball, axis=0)).sum(axis=0) / bw.sum()
         centers = refined
 
-    return _lloyd_to_fixpoint(pts, centers, k)
+    return _lloyd_to_fixpoint(shared, centers)
 
 
 def best_of_orss(pts: WeightedPoints, k: int, seed: int,
                  restarts: int = DEFAULT_RESTARTS) -> Clustering:
-    """Lowest-cost clustering over seeded restarts (earliest wins ties)."""
+    """Lowest-cost clustering over seeded restarts (earliest wins ties).
+
+    Restart i is orss_kmeans(pts, k, s_i) for the i-th sub-seed s_i of
+    (seed, k); the restarts run one after another and share the arrays of
+    the point set (x^T, the squared norms, w x, the first-center
+    distribution), so memory stays O(n (k + d)).
+    """
     if restarts < 1:
         raise InputError("restarts must be >= 1")
     sub = rng_stream(seed, "kmeans", "restarts", str(k)).integers(2 ** 62, size=restarts)
+    shared = _Shared(pts)
     best = None
     for s in sub:
-        candidate = orss_kmeans(pts, k, int(s))
+        candidate = _orss(shared, k, int(s))
         if best is None or candidate.cost < best.cost:
             best = candidate
     return best
@@ -253,7 +369,7 @@ def _optimal_clusterings(pts: WeightedPoints, ks) -> list[tuple[float, Clusterin
                 t = int(t[np.argmin(block[t] + part[k - 1 - b][rest ^ t])])
                 labels[((t >> np.arange(n)) & 1).astype(bool)] = b
                 rest ^= t
-            centers = _weighted_means(pts, labels, k, np.zeros((k, dim)))
+            centers = _weighted_means(np.vstack([w, w * x.T]), labels, k, np.zeros((k, dim)))
         c = _cost(pts, labels, centers)
         out.append((c, Clustering(labels=labels, centers=centers, cost=c)))
     return out

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapError, InputError, NumericError
+from .errors import CapacityError, GapError, InputError, NumericError
 from .graph import Graph
 from .kmeans import WeightedPoints
 from .linalg import (BRUTEFORCE_MAX_N, ORTHONORMALITY_TOL, RESIDUAL_RTOL,
@@ -41,6 +41,10 @@ _RANK_COLLAPSE_RTOL = 1e-12
 #: plus _SWEEP_WEIGHT per basis entry a block Krylov step sweeps: measured to
 #: take about as long as importing scipy, whose CSR matvec is about 3x faster.
 NUMPY_MAX_WORK = 10**8
+#: Most power-iteration steps power_embedding runs: about 60 s at the 0.57 ms
+#: a k = 8 step takes on a 1200-vertex SBM with 31,560 adjacency entries, and
+#: about 5 s on a 10-vertex graph (50 us a step; 2-core x86).
+POWER_MAX_STEPS = 100_000
 #: Column cap of the block Krylov basis; a thick restart keeps the top half.
 _KRYLOV_BASIS = 64
 #: Cost of one basis entry in a block Krylov step (cross products, Ritz
@@ -297,7 +301,8 @@ def power_embedding(g: Graph, k: int, steps: int, seed: int) -> Embedding:
     block is re-orthonormalized by a QR after every application, so its
     columns cannot all drift toward the top eigenvector. A diagonal entry of
     R below _RANK_COLLAPSE_RTOL times the largest one means the block lost
-    rank, and raises NumericError. The matvecs run on numpy while their
+    rank, and raises NumericError; more than POWER_MAX_STEPS steps raise
+    CapacityError before the first matvec. The matvecs run on numpy while their
     steps * k columns fit NUMPY_MAX_WORK, unless the spectrum that power mode
     needs first already runs ARPACK (not _krylov_fits), else on scipy.
     Runtime O(m k p + n k^2 p). Deterministic for fixed (graph, k, steps,
@@ -307,6 +312,9 @@ def power_embedding(g: Graph, k: int, steps: int, seed: int) -> Embedding:
         raise InputError("k must be in [1, n]")
     if steps < 1:
         raise InputError("power iteration needs at least 1 step")
+    if steps > POWER_MAX_STEPS:
+        raise CapacityError("power iteration needs %d steps, more than the %d allowed"
+                            % (steps, POWER_MAX_STEPS))
     ops = LaplacianOps(g, use_scipy=not _krylov_fits(g, k + 1)
                        or steps * k * len(g.indices) > NUMPY_MAX_WORK)
     block = gaussian_matrix(g.n, k, seed)

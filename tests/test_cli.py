@@ -255,6 +255,21 @@ class TestCluster:
         assert out.returncode == 3
         assert json.loads(out.stdout)["error"]["kind"] == "numeric"
 
+    def test_power_mode_near_tie_is_capacity_error(self, tmp_path, capsys, monkeypatch):
+        """A gap of 3e-8 at hub10's lambda_2 asks for 750,591,849 power steps:
+        the run exits 3 at once instead of running for hours."""
+        edge_file = tmp_path / "hub10.txt"
+        g = triangles_with_center()
+        edge_file.write_text("".join("%d %d\n" % (u, v) for u, v in g.edges.tolist()))
+        true = spectral.spectrum(g, 2)
+        lam2 = 0.12084713039410418
+        near_tie = dataclasses.replace(true, values=np.array([true.values[0], lam2, lam2 + 3e-8]))
+        monkeypatch.setattr(spectral, "spectrum", lambda graph, k: near_tie)
+        code = main(["cluster", "--input", str(edge_file), "--k", "2", "--mode", "power"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "capacity" and "750591849 steps" in err["message"]
+
     def test_no_spectral_gap_power_mode(self, tmp_path, capsys):
         # complete graph: lambda_k == lambda_{k+1}, power mode must refuse
         edge_file = tmp_path / "k8.txt"
@@ -637,8 +652,9 @@ def _scipy_loaded_after(commands):
 
 def test_package_import_loads_no_scipy(tmp_path):
     """Import alone; verify, both cluster modes and diagnose on a graph file
-    of at most 14 vertices; and both cluster modes and diagnose on a
-    bench-shaped SBM of 1200 vertices all stay on numpy. A graph whose first
+    of at most 14 vertices; both cluster modes and diagnose on a
+    bench-shaped SBM of 1200 vertices; and cluster --gen (which matches the
+    planted partition) all stay on numpy. A graph whose first
     block Krylov basis alone costs more than NUMPY_MAX_WORK loads scipy for
     the spectrum (verify rejects such graphs before any solve)."""
     small, sbm, large = (tmp_path / name for name in ("hub10.txt", "sbm.txt", "large.txt"))
@@ -661,9 +677,11 @@ def test_package_import_loads_no_scipy(tmp_path):
     def diagnose(path, part, k):
         return ["diagnose", "--input", str(path), "--partition", str(part), "--k", str(k)] + out
 
+    generated = ["cluster", "--gen", "ring:k=3,size=3,b=1", "--k", "3"] + out
     assert _scipy_loaded_after(commands(small, 3) + [diagnose(small, part, 3)]
                                + commands(sbm, 8)[1:]
-                               + [diagnose(sbm, tmp_path / "sbm.part", 8)]) == [False] * 8
+                               + [diagnose(sbm, tmp_path / "sbm.part", 8)]
+                               + [generated]) == [False] * 9
     for control in commands(large, 4)[1:]:
         assert _scipy_loaded_after([control]) == [False, True]
 
@@ -671,3 +689,34 @@ def test_package_import_loads_no_scipy(tmp_path):
 def test_all_names_resolve():
     import spectralpart
     assert [n for n in spectralpart.__all__ if not hasattr(spectralpart, n)] == []
+
+
+def test_reports_identical_across_thread_counts(tmp_path):
+    """Both cluster modes and diagnose on a bench-shaped 8 x 150 SBM give the
+    same report under one and two BLAS threads, apart from timings and the
+    --out path: the k-means GEMM and the spectrum do not depend on the
+    thread count."""
+    g, planted = gen_sbm([150] * 8, 0.12, 0.008, seed=2)
+    write_edge_list(g, tmp_path / "sbm.txt")
+    write_partition(planted, tmp_path / "sbm.part")
+    graph = ["--input", str(tmp_path / "sbm.txt"), "--k", "8", "--seed", "3"]
+    commands = [["cluster", "--mode", "exact"] + graph, ["cluster", "--mode", "power"] + graph,
+                ["diagnose", "--partition", str(tmp_path / "sbm.part")] + graph]
+    code = ("import json, sys; import spectralpart.cli\n"
+            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    out = '%s.%d.json' % (sys.argv[2], i)\n"
+            "    assert spectralpart.cli.main(argv + ['--out', out]) == 0, argv\n")
+    reports = {}
+    for threads in ("1", "2"):
+        env = {k: v for k, v in _src_env().items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["SPECTRAL_PART_THREADS"] = threads
+        stem = str(tmp_path / ("t" + threads))
+        subprocess.run([sys.executable, "-c", code, json.dumps(commands), stem], env=env,
+                       capture_output=True, text=True, timeout=120, check=True)
+        reports[threads] = []
+        for i in range(len(commands)):
+            rep = strip_timings(load_report("%s.%d.json" % (stem, i)))
+            del rep["config"]["out"]
+            reports[threads].append(rep)
+    assert reports["1"] == reports["2"]

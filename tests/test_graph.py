@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectralpart import graph
 from spectralpart import (Graph, InputError, Partition, block_conductances,
                           conductance, cut, gen_ring_of_cliques, gen_sbm,
                           match_partitions, read_edge_list, read_partition,
@@ -239,6 +240,23 @@ class TestMatchPartitions:
             pi = match_partitions(g, a, b)
             assert sorted(pi.tolist()) == list(range(k))
             assert tuple(pi.tolist()) in exhaustive_match(g, a, b)[1]
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_assignment_matches_scipy(self, k):
+        """Total overlap equals scipy's optimum; on continuous weights, where
+        the optimum is unique, so does the permutation."""
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(200 + k)
+        for trial in range(40):
+            weight = (rng.random((k, k)) if trial % 2
+                      else rng.integers(0, 4, (k, k)).astype(float))  # many ties
+            pi = graph._max_assignment(weight)
+            rows, cols = linear_sum_assignment(weight, maximize=True)
+            assert sorted(pi.tolist()) == list(range(k))
+            assert weight[np.arange(k), pi].sum() == weight[rows, cols].sum()
+            if trial % 2:
+                assert pi.tolist() == cols.tolist()
 
     def test_k_mismatch(self, two_triangles_bridge):
         g, p = two_triangles_bridge

