@@ -156,6 +156,8 @@ def _timed(timings, key):
 def _load_graph(args, report):
     """The graph, its partition or None, and the graph's size in ``report``."""
     if args.gen:
+        if getattr(args, "partition", None):
+            raise InputError("--partition is only read with --input, not with --gen")
         spec = parse_gen_spec(args.gen)
         generate = G.gen_ring_of_cliques if spec[0] == "ring" else G.gen_sbm
         g, part = generate(*spec[1:], args.seed)
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="run the structural check suite")
     common(p_diag)
     p_diag.add_argument("--partition", default=None,
-                        help="reference partition file ('vertex block' per line)")
+                        help="reference partition file for --input ('vertex block' per line)")
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_gen = sub.add_parser("generate", help="write edge-list and planted partition files")

@@ -11,7 +11,8 @@ deterministic functions of (input, seed).
 Distances are defined by the per-center expression np.sum((x - c) ** 2,
 axis=1); the restarts compute them with whole-array numpy calls (one GEMM
 per assignment, with an exact recheck of near ties, and bincount means)
-and reproduce that definition bit for bit.
+and reproduce that definition bit for bit. The point set holds the arrays
+those calls read, made once when it is built.
 """
 
 from __future__ import annotations
@@ -35,14 +36,23 @@ _LLOYD_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class WeightedPoints:
-    """Finite coordinates with strictly positive weights."""
+    """Finite coordinates with strictly positive weights, held read-only (a
+    writeable input is copied). The point set also holds, made once, what
+    every restart and Lloyd step reads: x^T for the distance GEMM (``xt``),
+    _assign's rounding margin (``slack``, ``tie_rtol``), the rows [w; w x^T]
+    the means sum (``wx``) and the seeding's first-center distribution."""
 
     coords: np.ndarray   # n x dim
     weights: np.ndarray  # n
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        for name in ("coords", "weights"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        coords, weights = self.coords, self.weights
         if coords.ndim != 2 or weights.ndim != 1 or coords.shape[0] != weights.shape[0]:
             raise InputError("coords must be n x dim and weights length n")
         if coords.shape[0] == 0:
@@ -51,8 +61,11 @@ class WeightedPoints:
             raise InputError("coordinates must be finite")
         if not np.isfinite(weights).all() or np.any(weights <= 0):
             raise InputError("weights must be positive and finite")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "xt", np.ascontiguousarray(coords.T))
+        object.__setattr__(self, "tie_rtol", 16 * (coords.shape[1] + 2) * np.finfo(float).eps)
+        object.__setattr__(self, "slack", self.tie_rtol * np.einsum("ij,ij->i", coords, coords)
+                           + np.finfo(float).tiny)
+        object.__setattr__(self, "wx", np.vstack([weights, weights * self.xt]))
 
     @property
     def n(self) -> int:
@@ -61,6 +74,18 @@ class WeightedPoints:
     @property
     def dim(self) -> int:
         return self.coords.shape[1]
+
+    @functools.cached_property
+    def first_center(self) -> tuple[float, np.ndarray | None]:
+        """(total, cdf) of the weights w_x (W ||x - mean||^2 + total spread)."""
+        x, w = self.coords, self.weights
+        total_w = w.sum()
+        mean = (w[:, None] * x).sum(axis=0) / total_w
+        d2_mean = _sq_dists(x, mean)
+        spread = float((w * d2_mean).sum())
+        probs = w * (total_w * d2_mean + spread)
+        total = probs.sum()
+        return total, (_cdf(probs, total) if total > 0 else None)
 
 
 @dataclass(frozen=True)
@@ -112,34 +137,7 @@ def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-class _Shared:
-    """Arrays of one point set that every restart and Lloyd step reads, made
-    once per best_of_orss call: x^T for the distance GEMM, the per-point part
-    of _assign's rounding margin, the columns w and w x[:, j] the means sum,
-    and (on first use) the first-center distribution of the seeding."""
-
-    def __init__(self, pts: WeightedPoints):
-        self.pts = pts
-        self.xt = np.ascontiguousarray(pts.coords.T)
-        self.tie_rtol = 16 * (pts.dim + 2) * np.finfo(float).eps
-        self.slack = (self.tie_rtol * np.einsum("ij,ij->i", pts.coords, pts.coords)
-                      + np.finfo(float).tiny)
-        self.wx = np.vstack([pts.weights, pts.weights * self.xt])
-
-    @functools.cached_property
-    def first_center(self) -> tuple[float, np.ndarray | None]:
-        """(total, cdf) of the weights w_x (W ||x - mean||^2 + total spread)."""
-        x, w = self.pts.coords, self.pts.weights
-        total_w = w.sum()
-        mean = (w[:, None] * x).sum(axis=0) / total_w
-        d2_mean = _sq_dists(x, mean)
-        spread = float((w * d2_mean).sum())
-        probs = w * (total_w * d2_mean + spread)
-        total = probs.sum()
-        return total, (_cdf(probs, total) if total > 0 else None)
-
-
-def _assign(shared: _Shared, centers: np.ndarray) -> np.ndarray:
+def _assign(pts: WeightedPoints, centers: np.ndarray) -> np.ndarray:
     """Nearest-center labels in O(n (k + d)) memory, equal to the argmin over
     centers c of the exact _sq_dists(x, c), exact ties to the lowest index.
 
@@ -156,18 +154,18 @@ def _assign(shared: _Shared, centers: np.ndarray) -> np.ndarray:
     margin of its best, or with a non-finite estimate, is recomputed exactly.
     """
     k = centers.shape[0]
-    est = (-2.0 * centers) @ shared.xt
+    est = (-2.0 * centers) @ pts.xt
     norms = np.einsum("ij,ij->i", centers, centers)
     est += norms[:, None]
-    cutoff = est.min(axis=0) + shared.slack
-    cutoff += shared.tie_rtol * norms.max()
+    cutoff = est.min(axis=0) + pts.slack
+    cutoff += pts.tie_rtol * norms.max()
     # Row 0 counts the centers within the margin, row 1 sums their indices:
     # for a point with one such center, that center's label.
     count, index = np.stack([np.ones(k), np.arange(k, dtype=float)]) @ (est <= cutoff)
     labels = index.astype(np.int64)
     recheck = np.flatnonzero((count != 1) | ~np.isfinite(cutoff))
     if recheck.size:
-        near = shared.pts.coords[recheck]
+        near = pts.coords[recheck]
         labels[recheck] = np.argmin(np.column_stack([_sq_dists(near, c) for c in centers]),
                                     axis=1)
     return labels
@@ -190,10 +188,10 @@ def _weighted_means(wx: np.ndarray, labels: np.ndarray, k: int,
     return centers
 
 
-def _recenter(shared: _Shared, clustering: Clustering, labels: np.ndarray) -> Clustering:
+def _recenter(pts: WeightedPoints, clustering: Clustering, labels: np.ndarray) -> Clustering:
     """The rest of a Lloyd step from its assignment ``labels``: empty-cluster
     repair, weighted means and cost."""
-    pts, k = shared.pts, clustering.k
+    k = clustering.k
     # Repairs never empty a cluster, so the empty ones are known up front.
     empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
     if empty.size:
@@ -206,7 +204,7 @@ def _recenter(shared: _Shared, clustering: Clustering, labels: np.ndarray) -> Cl
         j = candidates[np.argmax(contrib[candidates])]
         labels[j] = i
         contrib[j] = -np.inf
-    centers = _weighted_means(shared.wx, labels, k, clustering.centers)
+    centers = _weighted_means(pts.wx, labels, k, clustering.centers)
     return Clustering(labels=labels, centers=centers, cost=_cost(pts, labels, centers))
 
 
@@ -219,20 +217,19 @@ def lloyd_step(pts: WeightedPoints, clustering: Clustering) -> Clustering:
     (next-largest for further empties, never draining a cluster to empty),
     keeping the step deterministic.
     """
-    shared = _Shared(pts)
-    return _recenter(shared, clustering, _assign(shared, clustering.centers))
+    return _recenter(pts, clustering, _assign(pts, clustering.centers))
 
 
-def _lloyd_to_fixpoint(shared: _Shared, centers: np.ndarray) -> Clustering:
-    current = _recenter(shared, Clustering(labels=np.zeros(shared.pts.n, dtype=np.int64),
-                                           centers=centers, cost=math.inf),
-                        _assign(shared, centers))
-    for _ in range(_LLOYD_MAX_ITER):
-        labels = _assign(shared, current.centers)
+def _lloyd_to_fixpoint(pts: WeightedPoints, centers: np.ndarray) -> Clustering:
+    # No labels and no cost yet: NaN compares false, so the first step is
+    # always taken, and at most _LLOYD_MAX_ITER more follow it.
+    current = Clustering(labels=np.full(pts.n, -1), centers=centers, cost=math.nan)
+    for _ in range(_LLOYD_MAX_ITER + 1):
+        labels = _assign(pts, current.centers)
         # Same labels, no empty cluster: the step would rebuild current exactly.
         if np.array_equal(labels, current.labels):
             return current
-        nxt = _recenter(shared, current, labels)
+        nxt = _recenter(pts, current, labels)
         if nxt.cost >= current.cost - 1e-15:
             return current if current.cost <= nxt.cost else nxt
         current = nxt
@@ -254,11 +251,6 @@ def orss_kmeans(pts: WeightedPoints, k: int, seed: int) -> Clustering:
     than k points carry seeding weight, NumericError when that weight
     overflows.
     """
-    return _orss(_Shared(pts), k, seed)
-
-
-def _orss(shared: _Shared, k: int, seed: int) -> Clustering:
-    pts = shared.pts
     if k < 1:
         raise InputError("k must be >= 1")
     if pts.n < k:
@@ -266,7 +258,7 @@ def _orss(shared: _Shared, k: int, seed: int) -> Clustering:
     rng = rng_stream(seed, "kmeans", "seeding")
     x, w = pts.coords, pts.weights
 
-    total, cdf = shared.first_center
+    total, cdf = pts.first_center
     if total <= 0:  # only on failure is it worth counting distinct points
         few = len(np.unique(x, axis=0)) < k
         raise DegenerateError("fewer than k distinct points" if few else "all points coincide")
@@ -296,7 +288,7 @@ def _orss(shared: _Shared, k: int, seed: int) -> Clustering:
                 refined[i] = (bw[:, None] * x.take(ball, axis=0)).sum(axis=0) / bw.sum()
         centers = refined
 
-    return _lloyd_to_fixpoint(shared, centers)
+    return _lloyd_to_fixpoint(pts, centers)
 
 
 def best_of_orss(pts: WeightedPoints, k: int, seed: int,
@@ -304,17 +296,16 @@ def best_of_orss(pts: WeightedPoints, k: int, seed: int,
     """Lowest-cost clustering over seeded restarts (earliest wins ties).
 
     Restart i is orss_kmeans(pts, k, s_i) for the i-th sub-seed s_i of
-    (seed, k); the restarts run one after another and share the arrays of
-    the point set (x^T, the squared norms, w x, the first-center
-    distribution), so memory stays O(n (k + d)).
+    (seed, k); the restarts run one after another on the arrays the point
+    set holds (x^T, the squared norms, w x, the first-center distribution),
+    so memory stays O(n (k + d)).
     """
     if restarts < 1:
         raise InputError("restarts must be >= 1")
     sub = rng_stream(seed, "kmeans", "restarts", str(k)).integers(2 ** 62, size=restarts)
-    shared = _Shared(pts)
     best = None
     for s in sub:
-        candidate = _orss(shared, k, int(s))
+        candidate = orss_kmeans(pts, k, int(s))
         if best is None or candidate.cost < best.cost:
             best = candidate
     return best
@@ -369,7 +360,7 @@ def _optimal_clusterings(pts: WeightedPoints, ks) -> list[tuple[float, Clusterin
                 t = int(t[np.argmin(block[t] + part[k - 1 - b][rest ^ t])])
                 labels[((t >> np.arange(n)) & 1).astype(bool)] = b
                 rest ^= t
-            centers = _weighted_means(np.vstack([w, w * x.T]), labels, k, np.zeros((k, dim)))
+            centers = _weighted_means(pts.wx, labels, k, np.zeros((k, dim)))
         c = _cost(pts, labels, centers)
         out.append((c, Clustering(labels=labels, centers=centers, cost=c)))
     return out

@@ -316,6 +316,18 @@ class TestDiagnose:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["kind"] == "input"
 
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_partition_with_gen_is_refused(self, tmp_path, capsys, monkeypatch, exists):
+        part = tmp_path / "ring.part"
+        if exists:
+            part.write_text("".join("%d %d\n" % (v, v // 5) for v in range(15)))
+        monkeypatch.setattr(spectral, "spectrum", lambda *a, **kw: pytest.fail("solved"))
+        code = main(["diagnose", "--gen", "ring:k=3,size=5,b=1", "--k", "3",
+                     "--partition", str(part)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "input" and "--partition" in err["message"]
+
     def test_requires_reference(self, tmp_path, capsys):
         edge_file = tmp_path / "g.txt"
         assert main(["generate", "--gen", "ring:k=2,size=3,b=1", "--k", "2",

@@ -502,9 +502,8 @@ class TestNumpyKernel:
         """The loop stops without a step once a step reassigns nothing; that
         step would have rebuilt the same centers and cost."""
         for k, p in kernel_point_sets(60, 22):
-            shared = kmeans._Shared(p)
             centers = p.coords[np.random.default_rng(k).choice(p.n, k, replace=False)]
-            assert_same(kmeans._lloyd_to_fixpoint(shared, centers),
+            assert_same(kmeans._lloyd_to_fixpoint(p, centers),
                         reference_fixpoint(p, centers))
 
     def test_settled_step_is_unchanged(self):
@@ -539,25 +538,25 @@ class TestNumpyKernel:
                 extra = rng.standard_normal((2, dim)) + offset
                 for centers in (pair, pair[::-1], np.vstack([pair, extra]),
                                 np.vstack([pair, pair[::-1]])):
-                    labels = kmeans._assign(kmeans._Shared(p), centers)
+                    labels = kmeans._assign(p, centers)
                     assert np.array_equal(labels, reference_assign(p, centers))
         # exact ties in one dimension go to the lower index whatever the order
         p = pts_1d([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)])
         for centers, want in (([[0.0], [2.0]], [0, 0, 1]), ([[2.0], [0.0]], [0, 1, 0])):
-            assert kmeans._assign(kmeans._Shared(p), np.array(centers)).tolist() == want
+            assert kmeans._assign(p, np.array(centers)).tolist() == want
 
     def test_best_of_restarts_are_orss_per_sub_seed(self, monkeypatch):
         rng = np.random.default_rng(25)
         p, _ = clumps(rng, 4, 30, spread=1.0, gap=3.0, dim=3,
                       weights=rng.integers(1, 9, 120).astype(float))
         seen = []
-        orss = kmeans._orss
+        orss = kmeans.orss_kmeans
 
         def recorded(*args):
             seen.append(orss(*args))
             return seen[-1]
 
-        monkeypatch.setattr(kmeans, "_orss", recorded)
+        monkeypatch.setattr(kmeans, "orss_kmeans", recorded)
         best = best_of_orss(p, 4, seed=5, restarts=7)
         sub = rng_stream(5, "kmeans", "restarts", "4").integers(2 ** 62, size=7)
         assert len(seen) == 7
@@ -565,6 +564,23 @@ class TestNumpyKernel:
             assert_same(got, orss_kmeans(p, 4, int(s)))
         costs = [c.cost for c in seen]
         assert best is seen[costs.index(min(costs))]
+
+    def test_points_keep_read_only_copies(self):
+        rng = np.random.default_rng(27)
+        coords = rng.standard_normal((60, 3))
+        weights = rng.integers(1, 9, 60).astype(float)
+        want = best_of_orss(WeightedPoints(coords=coords.copy(), weights=weights.copy()),
+                            3, seed=4, restarts=5)
+        p = WeightedPoints(coords=coords, weights=weights)
+        kept = p.coords.copy()
+        coords[:30] += 10.0
+        weights[:5] = 100.0
+        assert np.array_equal(p.coords, kept)
+        assert not p.coords.flags.writeable and not p.weights.flags.writeable
+        assert_same(best_of_orss(p, 3, seed=4, restarts=5), want)
+        # A read-only input is kept as it is, not copied again.
+        again = WeightedPoints(coords=p.coords, weights=p.weights)
+        assert again.coords is p.coords and again.weights is p.weights
 
     def test_seeding_overflow_is_a_numeric_error(self):
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="overflow"):
