@@ -26,12 +26,12 @@ print("steps for eps=%.2g, delta=%.2g: p = %d" % (eps, delta, p_needed))
 
 print("\n p   mean projector error over 10 seeds")
 for p in (1, 2, 4, 8, 16, p_needed, 32):
-    errs = [projection_distance(exact, power_embedding(g, 3, p, s))
+    errs = [projection_distance(exact, power_embedding(eig, 3, p, s))
             for s in range(10)]
     marker = "  <- required p" if p == p_needed else ""
     print("%3d  %.3e%s" % (p, np.mean(errs), marker))
 
-a = power_embedding(g, 3, p_needed, 0)
-b = power_embedding(g, 3, p_needed, 0)
+a = power_embedding(eig, 3, p_needed, 0)
+b = power_embedding(eig, 3, p_needed, 0)
 print("\nsame seed, same result, bit for bit:",
       np.array_equal(a.coords, b.coords))

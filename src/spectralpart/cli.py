@@ -29,8 +29,6 @@ import stat
 import sys
 import time
 
-import numpy as np
-
 from . import diagnostics as D
 from . import graph as G
 from . import spectral as S
@@ -55,12 +53,6 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        value = float(value)
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
@@ -198,7 +190,7 @@ def cmd_cluster(args, report, timings):
             lam_k = float(eig.values[args.k - 1])
             lam_k1 = float(eig.values[args.k])
             steps = S.required_power_steps(g.n, args.k, args.eps, args.delta, lam_k, lam_k1)
-            emb = S.power_embedding(g, args.k, steps, args.seed)
+            emb = S.power_embedding(eig, args.k, steps, args.seed)
             power_info = {"steps": steps, "seed": args.seed, "eps": args.eps, "delta": args.delta}
     with _timed(timings, "kmeans"):
         clustering = best_of_orss(emb, args.k, args.seed, args.restarts)
@@ -242,6 +234,8 @@ def cmd_generate(args, report, timings):
     with _output(args.out) as edges_fh, _output(part_path) as part_fh:
         G.write_edge_list(g, edges_fh)
         G.write_partition(planted, part_fh)
+        # Flushed while both files are open, so a failure removes both.
+        edges_fh.flush()
     report["files"] = {"edges": args.out, "partition": part_path}
 
 

@@ -63,11 +63,13 @@ class EigenSystem:
 
     ``values`` is ascending; column ``j`` of ``vectors`` is the unit
     eigenvector paired with ``values[j]``, sign-fixed so its largest-magnitude
-    entry (lowest index on ties) is positive.
+    entry (lowest index on ties) is positive. ``ops`` is the LaplacianOps
+    that spectrum ended on, for power_embedding to reuse; None from sym_eig.
     """
 
     values: np.ndarray
     vectors: np.ndarray
+    ops: object = None
 
     @property
     def n(self) -> int:

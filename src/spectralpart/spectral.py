@@ -13,10 +13,11 @@ on I + D^{-1/2} A D^{-1/2}, with a QR after every matvec, approximates the
 same subspace using only matvecs. Both run on a numpy CSR while the work
 asked of it stays within NUMPY_MAX_WORK, about what importing scipy costs:
 spectrum first tries a numpy block Krylov-Schur solver under that budget (or
-solves densely, for tiny graphs), and the power iteration checks its known
-matvec count against it. Past the budget they run on a scipy CSR, and
-spectrum calls ARPACK. scipy is imported only there, inside the code that
-uses it, so importing the package loads only numpy.
+solves densely, for tiny graphs) and past it calls ARPACK on a scipy CSR. The
+power iteration continues on the operator spectrum finished on, and moves a
+numpy one to a scipy CSR only when its own known matvec count exceeds the
+budget. scipy is imported only there, inside the code that uses it, so
+importing the package loads only numpy.
 """
 
 from __future__ import annotations
@@ -101,14 +102,6 @@ class LaplacianOps:
         return x + self._norm_adj(x)
 
 
-def _krylov_fits(g: Graph, pairs: int) -> bool:
-    """Whether filling one block Krylov basis for ``pairs`` eigenpairs, a
-    column per step, fits NUMPY_MAX_WORK; where it does not, spectrum goes
-    straight to ARPACK."""
-    cap = min(g.n, max(_KRYLOV_BASIS, 2 * pairs))
-    return cap * (len(g.indices) + _SWEEP_WEIGHT * g.n * cap) <= NUMPY_MAX_WORK
-
-
 @dataclass(frozen=True)
 class Embedding(WeightedPoints):
     """Per-vertex spectral coordinates as a degree-weighted k-means instance.
@@ -126,10 +119,9 @@ class Embedding(WeightedPoints):
         return self.basis.shape[1]
 
 
-def _freeze_embedding(basis: np.ndarray, g: Graph) -> Embedding:
-    inv_sqrt_d = 1.0 / np.sqrt(g.degrees.astype(float))
-    coords = basis * inv_sqrt_d[:, None]
-    weights = g.degrees.astype(float)
+def _freeze_embedding(basis: np.ndarray, ops: LaplacianOps) -> Embedding:
+    coords = basis * ops._inv_sqrt_d[:, None]
+    weights = ops.graph.degrees.astype(float)
     for arr in (basis, coords, weights):
         arr.flags.writeable = False
     return Embedding(coords=coords, weights=weights, basis=basis)
@@ -148,10 +140,11 @@ def _expansion(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
     return block
 
 
-def _block_krylov(g: Graph, pairs: int):
-    """The ``pairs`` largest eigenpairs of I + N on numpy: (ops, theta
-    ascending, vectors), or None when one basis does not fit NUMPY_MAX_WORK
-    (_krylov_fits), when the budget is spent, or when the basis stops growing.
+def _block_krylov(ops: LaplacianOps, pairs: int):
+    """The ``pairs`` largest eigenpairs of I + N on the numpy ``ops``: (ops,
+    theta ascending, vectors), or None when filling one basis, a column per
+    step, would not fit NUMPY_MAX_WORK, when the budget is spent, or when the
+    basis stops growing.
 
     Block Krylov-Schur, i.e. block Davidson with no preconditioner. The start
     block holds ``pairs`` Gaussian columns from ``rng_stream(0, "spectral",
@@ -163,11 +156,10 @@ def _block_krylov(g: Graph, pairs: int):
     paths and cycles) can take tens of thousands of columns; the budget hands
     those to ARPACK after about a scipy import's worth of work.
     """
-    if not _krylov_fits(g, pairs):
-        return None
-    n, nnz = g.n, len(g.indices)
+    n, nnz = ops.graph.n, len(ops.graph.indices)
     cap = min(n, max(_KRYLOV_BASIS, 2 * pairs))
-    ops = LaplacianOps(g)
+    if cap * (nnz + _SWEEP_WEIGHT * n * cap) > NUMPY_MAX_WORK:
+        return None
     # The basis V and its image (I + N)V fill the leading columns of two
     # preallocated arrays; a restart may leave them up to pairs over the cap.
     basis, image = (np.empty((n, cap + pairs), order="F") for _ in range(2))
@@ -229,19 +221,20 @@ def spectrum(g: Graph, k: int) -> EigenSystem:
     BRUTEFORCE_MAX_N, sym_eig solves the dense I - N instead. Either way
     values are ascending, vectors follow the sym_eig sign rule, and every
     pair must pass ||(I - N)v - lambda v|| <= RESIDUAL_RTOL with columns
-    orthonormal to ORTHONORMALITY_TOL, else NumericError.
+    orthonormal to ORTHONORMALITY_TOL, else NumericError. ``ops`` is the
+    operator the solve ended on: the shared numpy one or ARPACK's scipy one.
     """
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
     n = g.n
     pairs = min(k + 1, n)
+    ops = LaplacianOps(g)
     if pairs >= n - 1 or n <= BRUTEFORCE_MAX_N:
-        ops = LaplacianOps(g)
         full = sym_eig(ops.apply_laplacian(np.eye(n)))
         values = full.values[:pairs].copy()
         vectors = full.vectors[:, :pairs].copy()
     else:
-        ops, theta, vectors = _block_krylov(g, pairs) or _arpack(g, pairs)
+        ops, theta, vectors = _block_krylov(ops, pairs) or _arpack(g, pairs)
         order = np.argsort(-theta, kind="stable")
         values = 2.0 - theta[order]
         vectors = np.ascontiguousarray(vectors[:, order])
@@ -256,7 +249,7 @@ def spectrum(g: Graph, k: int) -> EigenSystem:
                            % (drift, ORTHONORMALITY_TOL))
     values.flags.writeable = False
     vectors.flags.writeable = False
-    return EigenSystem(values=values, vectors=vectors)
+    return EigenSystem(values=values, vectors=vectors, ops=ops)
 
 
 def exact_embedding(g: Graph, k: int) -> tuple[Embedding, EigenSystem]:
@@ -268,7 +261,7 @@ def exact_embedding(g: Graph, k: int) -> tuple[Embedding, EigenSystem]:
     """
     eig = spectrum(g, k)
     basis = eig.vectors[:, :k].copy()
-    return _freeze_embedding(basis, g), eig
+    return _freeze_embedding(basis, eig.ops), eig
 
 
 def required_power_steps(n: int, k: int, eps: float, delta: float,
@@ -290,11 +283,13 @@ def required_power_steps(n: int, k: int, eps: float, delta: float,
     gamma = (2.0 - lambda_k1) / (2.0 - lambda_k)
     if gamma <= 0.0:
         return 1
-    p = math.ceil(math.log(8.0 * n * k / (eps * delta)) / math.log(1.0 / gamma))
+    # Logs summed: eps * delta can underflow to 0, and 8nk / (eps delta) overflow.
+    p = math.ceil((math.log(8.0 * n * k) - math.log(eps) - math.log(delta))
+                  / math.log(1.0 / gamma))
     return max(int(p), 1)
 
 
-def power_embedding(g: Graph, k: int, steps: int, seed: int) -> Embedding:
+def power_embedding(eig: EigenSystem, k: int, steps: int, seed: int) -> Embedding:
     """Approximate embedding: p = steps matvecs of I + N on a Gaussian block.
 
     Subspace iteration: the operator power is never materialized, and the
@@ -302,12 +297,15 @@ def power_embedding(g: Graph, k: int, steps: int, seed: int) -> Embedding:
     columns cannot all drift toward the top eigenvector. A diagonal entry of
     R below _RANK_COLLAPSE_RTOL times the largest one means the block lost
     rank, and raises NumericError; more than POWER_MAX_STEPS steps raise
-    CapacityError before the first matvec. The matvecs run on numpy while their
-    steps * k columns fit NUMPY_MAX_WORK, unless the spectrum that power mode
-    needs first already runs ARPACK (not _krylov_fits), else on scipy.
+    CapacityError before the first matvec. ``eig`` is the graph's spectrum():
+    the matvecs continue on its operator, eig.ops, unless that is on numpy
+    and steps * k columns exceed NUMPY_MAX_WORK; then on a scipy CSR.
     Runtime O(m k p + n k^2 p). Deterministic for fixed (graph, k, steps,
     seed).
     """
+    if eig.ops is None:
+        raise InputError("power_embedding needs a spectrum() result, with its operator")
+    ops, g = eig.ops, eig.ops.graph
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
     if steps < 1:
@@ -315,8 +313,8 @@ def power_embedding(g: Graph, k: int, steps: int, seed: int) -> Embedding:
     if steps > POWER_MAX_STEPS:
         raise CapacityError("power iteration needs %d steps, more than the %d allowed"
                             % (steps, POWER_MAX_STEPS))
-    ops = LaplacianOps(g, use_scipy=not _krylov_fits(g, k + 1)
-                       or steps * k * len(g.indices) > NUMPY_MAX_WORK)
+    if ops._adj is None and steps * k * len(g.indices) > NUMPY_MAX_WORK:
+        ops = LaplacianOps(g, use_scipy=True)
     block = gaussian_matrix(g.n, k, seed)
     for _ in range(steps):
         block, r = np.linalg.qr(ops.apply_shifted(block))
@@ -325,7 +323,7 @@ def power_embedding(g: Graph, k: int, steps: int, seed: int) -> Embedding:
             raise NumericError(
                 "rank collapse in power iteration (|R_jj| from %.3e to %.3e); "
                 "rerun with a new seed" % (diag.min(), diag.max()))
-    return _freeze_embedding(block, g)
+    return _freeze_embedding(block, ops)
 
 
 def projection_distance(a, b) -> float:

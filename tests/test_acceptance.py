@@ -148,7 +148,7 @@ def test_06_power_method_guarantee():
                                  float(eig.values[2]), float(eig.values[3]))
     hits = 0
     for seed in range(50):
-        approx = power_embedding(g, 3, steps, seed)
+        approx = power_embedding(eig, 3, steps, seed)
         hits += projection_distance(exact, approx) <= eps
     announce(6, hits >= 45, "p=%d, %d/50 seeds within eps=%.2f (%.1fs)"
              % (steps, hits, eps, time.time() - t0))

@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -128,6 +130,30 @@ class TestGenerate:
         assert err["error"]["kind"] == "input"
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_edge_flush_leaves_no_partition_file(self, tmp_path, capsys, monkeypatch):
+        """The edge list's last flush fails after the partition file is
+        written: exit 2, and neither file is left behind."""
+        class FullDisk(io.BufferedWriter):
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        real_fdopen, opened = os.fdopen, []
+
+        def fdopen(fd, *args, **kwargs):
+            opened.append(fd)
+            if len(opened) > 1:
+                return real_fdopen(fd, *args, **kwargs)
+            return io.TextIOWrapper(FullDisk(io.FileIO(fd, "w")), encoding="utf-8")
+
+        monkeypatch.setattr(cli.os, "fdopen", fdopen)
+        out = tmp_path / "g.txt"
+        assert main(["generate", "--gen", "ring:k=3,size=5,b=1", "--k", "3",
+                     "--out", str(out)]) == 2
+        assert len(opened) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "input" and "No space left" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCluster:
     def test_exact_mode_recovers_planted(self, tmp_path, capsys):
@@ -195,6 +221,32 @@ class TestCluster:
         assert main(["cluster", "--gen", "ring:k=4,size=4,b=1", "--k", "2"]) == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["kind"] == "input" and "--k" in err["message"]
+
+    @pytest.mark.parametrize("tiny, steps", [("1e-200", 1206), ("1e-160", 966)])
+    def test_tiny_eps_and_delta_still_give_a_report(self, tmp_path, capsys, tiny, steps):
+        """eps * delta underflows to 0 at 1e-200 and 8nk / (eps delta)
+        overflows at 1e-160; the step count is still finite."""
+        edge_file = tmp_path / "g.txt"
+        edge_file.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n")
+        out = tmp_path / "rep.json"
+        assert main(["cluster", "--input", str(edge_file), "--k", "2", "--mode", "power",
+                     "--eps", tiny, "--delta", tiny, "--out", str(out)]) == 0
+        assert load_report(out)["power"]["steps"] == steps
+
+    def test_power_mode_builds_one_operator(self, tmp_path, capsys, monkeypatch):
+        """The spectrum and the power steps share one LaplacianOps."""
+        built = []
+        real_init = spectral.LaplacianOps.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.LaplacianOps, "__init__", spy)
+        assert main(["cluster", "--gen", "sbm:sizes=%s,pin=0.12,pout=0.008" % "+".join(["150"] * 8),
+                     "--k", "8", "--mode", "power", "--seed", "1",
+                     "--out", str(tmp_path / "rep.json")]) == 0
+        assert len(built) == 1
 
     def test_power_mode_needs_k_below_n(self, tmp_path, capsys):
         edge_file = tmp_path / "p3.txt"
@@ -577,6 +629,27 @@ def test_unwritable_out_fails_before_the_spectrum(tmp_path, capsys, monkeypatch,
     bad = tmp_path / "missing" / "r.json"
     assert main([command, "--gen", "ring:k=3,size=3,b=1", "--k", "3", "--out", str(bad)]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cluster", "--gen", "ring:k=3,size=3,b=1", "--k", "3", "--mode", "power",
+      "--eps", "1.5"], "--eps and --delta must lie in (0, 1)"),
+    (["cluster", "--gen", "ring:k=3,size=3,b=1", "--k", "3", "--delta", "0"],
+     "--eps and --delta must lie in (0, 1)"),
+    (["generate", "--gen", "ring:k=3,size=3,b=1", "--k", "3"], "generate requires --out"),
+    (["generate", "--input", "{tmp}/g.txt", "--k", "3", "--out", "{tmp}/out.txt"],
+     "generate requires --gen"),
+    pytest.param(["cluster", "--gen", "ring:k=3,size=3,b=1", "--k", "3", "--out", "/dev/full"],
+                 "/dev/full: cannot write: ",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="needs /dev/full")),
+])
+def test_input_errors(tmp_path, capsys, argv, message):
+    (tmp_path / "g.txt").write_text("0 1\n1 2\n0 2\n")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "input" and message in err["message"]
+    assert [path.name for path in tmp_path.iterdir()] == ["g.txt"]
 
 
 def test_failed_run_leaves_out_as_it_was(tmp_path, capsys):

@@ -8,7 +8,7 @@ from spectralpart import (CapacityError, Embedding, GapError, InputError, Laplac
                           exact_embedding, gen_ring_of_cliques, gen_sbm,
                           optimal_cost_bruteforce, power_embedding,
                           projection_distance, required_power_steps,
-                          separation_ratio, spectral)
+                          separation_ratio, spectral, spectrum, sym_eig)
 from spectralpart.linalg import RESIDUAL_RTOL
 from conftest import complete_graph, dense_laplacian, disjoint_cliques
 
@@ -117,8 +117,8 @@ class TestRequiredPowerSteps:
 class TestPowerEmbedding:
     def test_disconnected_converges_to_kernel(self):
         g, _ = disjoint_cliques(3, 4)
-        exact, _ = exact_embedding(g, 3)
-        approx = power_embedding(g, 3, 50, 0)
+        exact, eig = exact_embedding(g, 3)
+        approx = power_embedding(eig, 3, 50, 0)
         assert projection_distance(exact, approx) <= 1e-6
 
     def test_requested_accuracy_on_ring(self):
@@ -126,28 +126,29 @@ class TestPowerEmbedding:
         exact, eig = exact_embedding(g, 3)
         p = required_power_steps(g.n, 3, 0.01, 0.1,
                                  float(eig.values[2]), float(eig.values[3]))
-        approx = power_embedding(g, 3, p, 1)
+        approx = power_embedding(eig, 3, p, 1)
         assert projection_distance(exact, approx) <= 0.01
 
     def test_deterministic(self):
         g, _ = gen_ring_of_cliques(3, 8, 1, seed=0)
-        a = power_embedding(g, 3, 12, 7)
-        b = power_embedding(g, 3, 12, 7)
+        eig = spectrum(g, 3)
+        a = power_embedding(eig, 3, 12, 7)
+        b = power_embedding(eig, 3, 12, 7)
         assert np.array_equal(a.coords, b.coords)
 
     def test_gram_identity_approximate(self):
         g, _ = gen_ring_of_cliques(3, 8, 1, seed=0)
-        emb = power_embedding(g, 3, 20, 4)
+        emb = power_embedding(spectrum(g, 3), 3, 20, 4)
         gram = (emb.weights[:, None] * emb.coords).T @ emb.coords
         assert np.abs(gram - np.eye(3)).max() < 1e-8
 
     def test_convergence_is_monotone_on_average(self):
         g, _ = gen_ring_of_cliques(3, 8, 1, seed=5)
-        exact, _ = exact_embedding(g, 3)
+        exact, eig = exact_embedding(g, 3)
         averages = []
         for steps in (1, 2, 4, 8, 16, 32, 64):
             dists = [projection_distance(
-                exact, power_embedding(g, 3, steps, s))
+                exact, power_embedding(eig, 3, steps, s))
                 for s in range(20)]
             averages.append(np.mean(dists))
         for a, b in zip(averages, averages[1:]):
@@ -161,31 +162,42 @@ class TestPowerEmbedding:
         exact, eig = exact_embedding(g, 4)
         p = required_power_steps(g.n, 4, eps, 0.1,
                                  float(eig.values[3]), float(eig.values[4]))
-        approx = power_embedding(g, 4, p, 0)
+        approx = power_embedding(eig, 4, p, 0)
         assert projection_distance(exact, approx) <= eps
 
     def test_rank_collapse_raises(self):
         # K2 with k = 2: I + N has eigenvalues 2 and 0, so one column dies
         with pytest.raises(NumericError, match="rank collapse"):
-            power_embedding(complete_graph(2), 2, 3, 0)
+            power_embedding(spectrum(complete_graph(2), 2), 2, 3, 0)
 
     def test_params_validation(self):
         with pytest.raises(InputError, match="at least 1 step"):
-            power_embedding(complete_graph(4), 2, 0, 0)
+            power_embedding(spectrum(complete_graph(4), 2), 2, 0, 0)
+
+    def test_needs_the_spectrum_operator(self):
+        with pytest.raises(InputError, match="spectrum"):
+            power_embedding(sym_eig(dense_laplacian(complete_graph(4))), 2, 3, 0)
 
     def test_step_cap_raises_before_any_matvec(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a matvec ran")
+        eig = spectrum(complete_graph(4), 2)
         monkeypatch.setattr(LaplacianOps, "apply_shifted", refuse)
         start = time.perf_counter()
         with pytest.raises(CapacityError, match="1000000000 steps"):
-            power_embedding(complete_graph(4), 2, steps=10**9, seed=0)
+            power_embedding(eig, 2, steps=10**9, seed=0)
         assert time.perf_counter() - start < 1.0
 
     def test_matvec_route_follows_the_budget(self, monkeypatch):
-        """numpy while steps * k columns fit NUMPY_MAX_WORK and the spectrum
-        runs on numpy too; scipy otherwise; the same subspace either way."""
+        """The steps continue on a numpy spectrum operator while steps * k
+        columns fit NUMPY_MAX_WORK and on a new scipy one past it; a scipy
+        spectrum operator (ARPACK ran) is kept at any budget; the same
+        subspace every way."""
         g, _ = gen_ring_of_cliques(3, 20, 1, seed=3)
+        numpy_eig = spectrum(g, 3)
+        monkeypatch.setattr(spectral, "NUMPY_MAX_WORK", 0)
+        scipy_eig = spectrum(g, 3)
+        assert numpy_eig.ops._adj is None and scipy_eig.ops._adj is not None
         routes = []
         real_init = LaplacianOps.__init__
 
@@ -196,11 +208,10 @@ class TestPowerEmbedding:
         monkeypatch.setattr(LaplacianOps, "__init__", spy)
         work = 30 * 3 * len(g.indices)
         embeddings = []
-        for budget, krylov_fits in ((work, True), (work - 1, True), (10 ** 12, False)):
+        for eig, budget in ((numpy_eig, work), (numpy_eig, work - 1), (scipy_eig, 10 ** 12)):
             monkeypatch.setattr(spectral, "NUMPY_MAX_WORK", budget)
-            monkeypatch.setattr(spectral, "_krylov_fits", lambda *args, fits=krylov_fits: fits)
-            embeddings.append(power_embedding(g, 3, 30, 1))
-        assert routes == [False, True, True]
+            embeddings.append(power_embedding(eig, 3, 30, 1))
+        assert routes == [True]
         for emb in embeddings[1:]:
             assert projection_distance(embeddings[0], emb) <= 1e-10
 
@@ -269,7 +280,7 @@ class TestWeightedPointset:
         if route == "exact":
             emb, _ = exact_embedding(g, 3)
         else:
-            emb = power_embedding(g, 3, 15, 1)
+            emb = power_embedding(spectrum(g, 3), 3, 15, 1)
         plain = WeightedPoints(emb.coords, emb.weights)
         for fn in (lambda p: best_of_orss(p, 3, 5, restarts=4),
                    lambda p: optimal_cost_bruteforce(p, 3)[1]):
@@ -284,8 +295,8 @@ class TestDuplicatedCopyEquivalence:
         # materialize the degree-duplicated row matrices on a small graph and
         # compare projector distances in both representations
         g, _ = gen_ring_of_cliques(2, 3, 1, seed=0)
-        exact, _ = exact_embedding(g, 2)
-        approx = power_embedding(g, 2, 6, 3)
+        exact, eig = exact_embedding(g, 2)
+        approx = power_embedding(eig, 2, 6, 3)
 
         def duplicated(emb):
             rows = [np.repeat(emb.coords[[u]], int(emb.weights[u]), axis=0)

@@ -113,15 +113,43 @@ def test_small_eigengap_spends_the_budget_then_uses_arpack(monkeypatch):
     Krylov work than NUMPY_MAX_WORK: the solve moves to ARPACK and returns
     exactly what ARPACK alone returns."""
     g = cycle_graph(800)
-    assert spectral._krylov_fits(g, 5)
     calls = counting_eigsh(monkeypatch)
+    real_krylov = spectral._block_krylov
+
+    def krylov_spy(ops, pairs):
+        found = real_krylov(ops, pairs)
+        calls.append("block Krylov gave up" if found is None else "block Krylov solved")
+        return found
+
+    monkeypatch.setattr(spectral, "_block_krylov", krylov_spy)
     eig = spectrum(g, 4)
-    assert calls == [5]
+    assert calls == ["block Krylov gave up", 5]
+    monkeypatch.setattr(spectral, "_block_krylov", real_krylov)
     monkeypatch.setattr(spectral, "NUMPY_MAX_WORK", 0)
     alone = spectrum(g, 4)
-    assert calls == [5, 5]
+    assert calls == ["block Krylov gave up", 5, 5]
     assert np.array_equal(eig.values, alone.values)
     assert np.array_equal(eig.vectors, alone.vectors)
+
+
+def test_power_steps_continue_on_the_arpack_operator(monkeypatch):
+    """After a solve that spends the budget and runs ARPACK, the power steps
+    run on the spectrum's scipy CSR and build no operator of their own."""
+    eig = spectrum(cycle_graph(800), 4)
+    assert eig.ops._adj is not None
+    built, applied = [], []
+    real_shifted = spectral.LaplacianOps.apply_shifted
+
+    def shifted_spy(ops, x):
+        applied.append(ops)
+        return real_shifted(ops, x)
+
+    monkeypatch.setattr(spectral.LaplacianOps, "__init__", lambda *args: built.append(args))
+    monkeypatch.setattr(spectral.LaplacianOps, "apply_shifted", shifted_spy)
+    emb = spectral.power_embedding(eig, 4, 30, 0)
+    assert built == []
+    assert len(applied) == 30 and all(ops is eig.ops for ops in applied)
+    assert emb.k == 4
 
 
 def test_arpack_failure_raises(arpack_route, monkeypatch):
