@@ -32,11 +32,11 @@ print("  rho=%s < rho_hat=%s  (completion is forced to pay)"
 inter = inter_connection(g2, 3, c2)
 print("  rho_p=%s kappa=%s" % (inter.rho_p_exact, Fraction(inter.kappa)))
 print("  witness partition:", inter.witness_partition.labels.tolist())
-print("  witness tuple:    ", inter.witness_tuple.labels.tolist(),
+print("  witness tuple:    ", inter.witness_tuple.tolist(),
       "(-1 marks the uncovered hub)")
 kappa = 1 / (1 - inter.rho_p_exact)
 for i in range(3):
     phi_p = conductance(g2, inter.witness_partition.labels == i)
-    phi_z = conductance(g2, inter.witness_tuple.labels == i)
+    phi_z = conductance(g2, inter.witness_tuple == i)
     print("  block %d: phi(partition)=%s <= kappa * phi(tuple)=%s"
           % (i, phi_p, kappa * phi_z))

@@ -260,13 +260,13 @@ def cmd_verify(args, report, timings):
             inter_section.update(
                 rho_p=inter.rho_p, kappa=inter.kappa, rho_avr_tilde=inter.rho_avr_tilde,
                 witness_partition=inter.witness_partition.labels.tolist(),
-                witness_tuple=inter.witness_tuple.labels.tolist())
+                witness_tuple=inter.witness_tuple.tolist())
             records.append(_record("interconnection_in_range", inter.rho_p,
                                    1.0 - 1.0 / (k - 1), True,
                                    "positivity checked separately"))
             records.append(_record("interconnection_positive", 2 * CHECK_TOL, inter.rho_p,
                                    True, "asserts rho_p > 0"))
-            phi_z = [float(f) for f in G.block_conductances(g, inter.witness_tuple)]
+            phi_z = [float(G.conductance(g, inter.witness_tuple == i)) for i in range(k)]
             phi_p = [float(f) for f in G.block_conductances(g, inter.witness_partition)]
             for i in range(k):
                 records.append(_record("interconnection_witness_phi[%d]" % i,

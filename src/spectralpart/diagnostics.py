@@ -59,8 +59,6 @@ def characteristic_vectors(g: Graph, p: Partition) -> np.ndarray:
     """
     if p.n != g.n:
         raise InputError("partition does not cover this graph")
-    if np.any(p.labels < 0):
-        raise InputError("characteristic vectors need a full partition")
     sqrt_d = np.sqrt(g.degrees.astype(float))
     vols = np.array([volume(g, p.labels == i) for i in range(p.k)], dtype=float)
     gbar = np.zeros((g.n, p.k))
@@ -320,7 +318,9 @@ class InterConnection:
     ``rho_p`` minimizes, over optimal tuples Z and compatible partitions P,
     the worst relative excess boundary of the non-core parts S_i = P_i - Z_i;
     ``kappa = 1/(1 - rho_p)``; ``rho_avr_tilde`` is the minimal average
-    conductance among minimizers, achieved by the returned witness pair.
+    conductance among minimizers, achieved by the witness pair: P as a
+    Partition, and Z as its row of optimal_tuples (read-only int64, -1 for
+    an uncovered vertex).
     """
 
     degenerate: bool
@@ -331,7 +331,7 @@ class InterConnection:
     kappa: float | None = None
     rho_avr_tilde: float | None = None
     witness_partition: Partition | None = None
-    witness_tuple: Partition | None = None
+    witness_tuple: np.ndarray | None = None
 
 
 def _phi_ic_exact(cut, vol, blocks, cores):
@@ -341,16 +341,14 @@ def _phi_ic_exact(cut, vol, blocks, cores):
     ``blocks`` and ``cores`` are the bitmasks of P_i and Z_i, and ``cut`` and
     ``vol`` the subset tables. S_i = P_i - Z_i's boundary excess, its edges
     leaving P_i minus its edges into Z_i, is cut(P_i) - cut(Z_i), relative to
-    cut(P_i). Returns None when every S_i is empty (the pair carries no
-    constraint). A zero boundary denominator can only occur with a
-    nonpositive numerator and is treated as 0 (empty constraint) or -inf,
-    stood for by -10^9, below every real ratio (each is at least -m).
+    cut(P_i); inter_connection passes only pairs with some S_i nonempty. A
+    zero boundary denominator can only occur with a nonpositive numerator
+    and is treated as 0 (empty constraint) or -inf, stood for by -10^9,
+    below every real ratio (each is at least -m).
     """
     ratios = [Fraction(cut[p] - cut[z], cut[p]) if cut[p] else
               Fraction(0 if cut[z] == 0 else -10 ** 9)
               for p, z in zip(blocks, cores) if p != z]
-    if not ratios:
-        return None
     return max(ratios), sum(Fraction(cut[p], vol[p]) for p in blocks) / len(blocks)
 
 
@@ -362,7 +360,8 @@ def inter_connection(g: Graph, k: int, constants: PartitionConstants) -> InterCo
     BRUTEFORCE_MAX_N) and enumerates all their compatible partition
     completions, in itertools.product order, scoring each from the subset
     tables; raises CapacityError if that product exceeds
-    INTERCONNECT_MAX_WORK assignments.
+    INTERCONNECT_MAX_WORK assignments. Each tuple leaves a vertex free, since
+    one covering all would make rho_hat <= rho, so every completion has an S_i.
     """
     if k < 2 or k > g.n:
         raise InputError("k must be in [2, n]")
@@ -387,21 +386,19 @@ def inter_connection(g: Graph, k: int, constants: PartitionConstants) -> InterCo
             for v, b in zip(free, combo):
                 blocks[b] |= 1 << v
             scored = _phi_ic_exact(cut, vol, blocks, cores)
-            if scored is not None and (best is None or scored < best[0]):
+            if best is None or scored < best[0]:
                 best = (scored, tup, free, combo)
 
-    if best is None:
-        return InterConnection(degenerate=True, rho=constants.rho, rho_hat=constants.rho_hat)
     (rho_p, avg), tuple_labels, free, combo = best
-    part_labels = np.array(tuple_labels)
+    witness_z = np.array(tuple_labels, dtype=np.int64)
+    witness_z.flags.writeable = False
+    part_labels = witness_z.copy()
     part_labels[free] = combo
-    witness_p = Partition(k, part_labels)
-    witness_z = Partition(k, np.asarray(tuple_labels), allow_uncovered=True)
     return InterConnection(
         degenerate=False, rho=constants.rho, rho_hat=constants.rho_hat,
         rho_p=float(rho_p), rho_p_exact=rho_p,
         kappa=float(1 / (1 - rho_p)), rho_avr_tilde=float(avg),
-        witness_partition=witness_p, witness_tuple=witness_z)
+        witness_partition=Partition(k, part_labels), witness_tuple=witness_z)
 
 
 # ---------------------------------------------------------------------------

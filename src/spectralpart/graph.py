@@ -92,43 +92,33 @@ class Graph:
 
 
 class Partition:
-    """Block labelling of the vertices 0..n-1 into blocks 0..k-1.
+    """Total labelling of the vertices 0..n-1 with nonempty blocks 0..k-1."""
 
-    In the default mode the labelling is total and every block is nonempty.
-    With ``allow_uncovered=True`` ("tuple mode") a label of -1 marks vertices
-    that belong to no block, which models disjoint k-tuples of subsets; blocks
-    must still be nonempty.
-    """
+    __slots__ = ("k", "labels")
 
-    __slots__ = ("k", "labels", "allow_uncovered")
-
-    def __init__(self, k: int, labels, *, allow_uncovered: bool = False):
+    def __init__(self, k: int, labels):
         if k < 1:
             raise InputError("block count must be at least 1")
         lab = np.asarray(labels, dtype=np.int64)
         if lab.ndim != 1 or lab.size == 0:
             raise InputError("labels must be a nonempty 1-d sequence")
-        floor = -1 if allow_uncovered else 0
-        if lab.min() < floor or lab.max() >= k:
+        if lab.min() < 0 or lab.max() >= k:
             raise InputError("block index out of range")
-        covered = lab[lab >= 0]
-        # More blocks than covered labels leaves one empty; checked before a
-        # bincount of length k, which the input does not bound.
-        if k > len(covered) or np.any(np.bincount(covered, minlength=k) == 0):
+        # More blocks than labels leaves one empty; checked before a bincount
+        # of length k, which the input does not bound.
+        if k > len(lab) or np.any(np.bincount(lab, minlength=k) == 0):
             raise InputError("every block must be nonempty")
         lab = lab.copy()
         lab.flags.writeable = False
         self.k = int(k)
         self.labels = lab
-        self.allow_uncovered = bool(allow_uncovered)
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def __repr__(self):
-        return "Partition(k=%d, n=%d%s)" % (
-            self.k, self.n, ", tuple-mode" if self.allow_uncovered else "")
+        return "Partition(k=%d, n=%d)" % (self.k, self.n)
 
 
 def _as_mask(g: Graph, s) -> np.ndarray:
@@ -195,9 +185,8 @@ def match_partitions(g: Graph, a: Partition, b: Partition) -> np.ndarray:
     if a.k != b.k:
         raise InputError("partitions have different block counts (%d vs %d)" % (a.k, b.k))
     k = a.k
-    covered = (a.labels >= 0) & (b.labels >= 0)
     overlap = np.zeros((k, k))
-    np.add.at(overlap, (a.labels[covered], b.labels[covered]), g.degrees[covered])
+    np.add.at(overlap, (a.labels, b.labels), g.degrees)
     return _max_assignment(overlap)
 
 
@@ -487,7 +476,5 @@ def _read_partition_lines(path, n: int) -> Partition:
 
 
 def write_partition(p: Partition, path):
-    """Write one ``vertex block`` pair per line (uncovered vertices skipped)
-    to a path or an open text file."""
-    covered = np.flatnonzero(p.labels >= 0)
-    _write_pairs(path, np.stack([covered, p.labels[covered]], axis=1))
+    """Write a ``vertex block`` line per vertex to a path or an open text file."""
+    _write_pairs(path, np.stack([np.arange(p.n), p.labels], axis=1))

@@ -150,11 +150,12 @@ def _block_krylov(ops: LaplacianOps, pairs: int):
     block holds ``pairs`` Gaussian columns from ``rng_stream(0, "spectral",
     "spectrum")``, so a multiple eigenvalue is seen up to multiplicity
     ``pairs``. Each step adds the orthonormalized residuals of the Ritz pairs
-    not yet converged and extends the projected matrix by their products; a
-    basis at its column cap restarts to its top half of Ritz vectors. Done
-    when every residual is at most RESIDUAL_RTOL / 100. Small eigengaps (long
-    paths and cycles) can take tens of thousands of columns; the budget hands
-    those to ARPACK after about a scipy import's worth of work.
+    not yet converged, at most the n - size that R^n has room for, and extends
+    the projected matrix by their products; a basis at its column cap restarts
+    to its top half of Ritz vectors. Done when every residual is at most
+    RESIDUAL_RTOL / 100. Small eigengaps (long paths and cycles) can take tens
+    of thousands of columns; the budget hands those to ARPACK after about a
+    scipy import's worth of work.
     """
     n, nnz = ops.graph.n, len(ops.graph.indices)
     cap = min(n, max(_KRYLOV_BASIS, 2 * pairs))
@@ -188,7 +189,7 @@ def _block_krylov(ops: LaplacianOps, pairs: int):
             image[:, :keep.shape[1]] = image[:, :size] @ keep
             size = keep.shape[1]
             proj[:size, :size] = np.diag(theta[-size:])
-        new = _expansion(basis[:, :size], resid[:, open_])
+        new = _expansion(basis[:, :size], resid[:, open_])[:, :n - size]
         if new.shape[1] == 0:
             return None
 

@@ -248,7 +248,7 @@ def test_08c_interconnection_bounds():
         upper = Fraction(1) - Fraction(1, k - 1)
         assert Fraction(0) < inter.rho_p_exact <= upper
         kappa = 1 / (1 - inter.rho_p_exact)
-        phi_z = [conductance(g, inter.witness_tuple.labels == i) for i in range(k)]
+        phi_z = [conductance(g, inter.witness_tuple == i) for i in range(k)]
         phi_p = [conductance(g, inter.witness_partition.labels == i) for i in range(k)]
         for i in range(k):
             assert phi_p[i] <= kappa * phi_z[i]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spectralpart import diagnostics
-from spectralpart import (CapacityError, EigenSystem, GapError,
+from spectralpart import (CapacityError, EigenSystem, GapError, Graph,
                           InputError, Partition, SpanCollapseError,
                           block_conductances, bruteforce_partition_constants,
                           characteristic_vectors, coeff_matrices, conductance,
@@ -80,12 +80,6 @@ class TestCharacteristicVectors:
         lap = dense_laplacian(g)
         for i in range(2):
             assert gbar[:, i] @ lap @ gbar[:, i] == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_tuple_mode(self, two_triangles_bridge):
-        g, _ = two_triangles_bridge
-        p = Partition(2, [0, 0, 0, 1, 1, -1], allow_uncovered=True)
-        with pytest.raises(InputError):
-            characteristic_vectors(g, p)
 
 
 class TestCoeffMatrices:
@@ -306,8 +300,8 @@ def test_constants_parity_pins(name):
     if inter is None:
         return
     got = inter_connection(g, k, constants=consts)
-    witnesses = [None if w is None else w.labels.tolist()
-                 for w in (got.witness_partition, got.witness_tuple)]
+    witnesses = [None, None] if got.degenerate else [
+        got.witness_partition.labels.tolist(), got.witness_tuple.tolist()]
     assert (got.degenerate, got.rho_p_exact, got.kappa, *witnesses) == inter
 
 
@@ -334,7 +328,7 @@ class TestInterConnection:
         assert 0 < inter.rho_p <= 1 - 1 / 2
         # witness inequalities, exact arithmetic
         kappa = Fraction(1, 1) / (1 - inter.rho_p_exact)
-        phi_z = [conductance(g, inter.witness_tuple.labels == i) for i in range(3)]
+        phi_z = [conductance(g, inter.witness_tuple == i) for i in range(3)]
         phi_p = [conductance(g, inter.witness_partition.labels == i) for i in range(3)]
         for i in range(3):
             assert phi_p[i] <= kappa * phi_z[i]
@@ -351,8 +345,6 @@ class TestInterConnection:
                                              [mask(z) for z in cores])
 
         g, _ = two_triangles_bridge
-        # No block gains a vertex: the pair carries no constraint.
-        assert score(g, [[0, 1, 2], [3, 4, 5]], [[0, 1, 2], [3, 4, 5]]) is None
         # Only blocks with a nonempty S count: block 1's (1 - 3) / 1, not block 0's 0.
         assert score(g, [[0, 1, 2], [3, 4, 5]], [[0, 1, 2], [3, 4]])[0] == -2
         cliques, _ = disjoint_cliques(3, 3)
@@ -386,7 +378,57 @@ class TestInterConnection:
         assert inter.kappa == 2.0
         assert inter.rho_avr_tilde == float(Fraction(17, 105))
         assert inter.witness_partition.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 0]
-        assert inter.witness_tuple.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, -1]
+        assert inter.witness_tuple.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, -1]
+
+    def test_nondegenerate_tuples_leave_a_vertex_free(self):
+        """The premise that lets inter_connection always find a witness: where
+        rho_hat != rho, every optimal tuple leaves a vertex uncovered. Checked
+        on cliques joined through hubs, the shape of hub10 and hub13 (random
+        G(n, p) graphs are almost never non-degenerate)."""
+        nondegenerate = 0
+        for sizes, links, hub_edge in hub_graph_family():
+            g = hub_graph(sizes, links, hub_edge)
+            for k in (len(sizes), len(sizes) + 1):
+                consts = bruteforce_partition_constants(g, k)
+                if consts.rho_hat_exact == consts.rho_exact:
+                    continue
+                nondegenerate += 1
+                assert consts.optimal_tuples
+                assert all(-1 in row for row in consts.optimal_tuples)
+                inter = inter_connection(g, k, consts)
+                assert not inter.degenerate
+                assert tuple(inter.witness_tuple.tolist()) in consts.optimal_tuples
+                assert inter.witness_tuple.dtype == np.int64
+                assert not inter.witness_tuple.flags.writeable
+        assert nondegenerate >= 4
+
+
+def hub_graph(sizes, links, hub_edge):
+    """Cliques of the given sizes and one hub per entry of ``links``, joined
+    to the first ``links[h]`` vertices of every clique; ``hub_edge`` joins
+    the last two hubs."""
+    starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    edges = [(a + i, a + j) for a, s in zip(starts, sizes)
+             for i in range(s) for j in range(i + 1, s)]
+    hubs = range(starts[-1], starts[-1] + len(links))
+    edges += [(a + i, h) for h, t in zip(hubs, links) for a in starts[:-1] for i in range(t)]
+    if hub_edge:
+        edges.append((hubs[-2], hubs[-1]))
+    return Graph(starts[-1] + len(links), edges)
+
+
+def hub_graph_family():
+    """(sizes, links, hub_edge) of two to four cliques, all of one size or
+    with the last one larger, joined through one or two hubs, n <= 12. Four
+    cliques take one hub: four 2-cliques and two hubs have more than
+    OPTIMAL_TUPLES_MAX optimal 5-tuples."""
+    for c, size, extra in itertools.product((2, 3, 4), (2, 3, 4), (0, 1)):
+        sizes = [size] * (c - 1) + [size + extra]
+        for links in [(1,), (2,), (1, 1), (1, 2), (2, 2)]:
+            if sum(sizes) + len(links) > 12 or max(links) > size or (c == 4 and len(links) == 2):
+                continue
+            for hub_edge in ((False, True) if len(links) == 2 else (False,)):
+                yield sizes, links, hub_edge
 
 
 def _checks(g, k, p, seed):

@@ -82,11 +82,6 @@ class TestPartition:
         with pytest.raises(InputError, match="nonempty"):
             Partition(2 ** 62, [0, 1])
 
-    def test_tuple_mode(self):
-        p = Partition(2, [0, -1, 1], allow_uncovered=True)
-        assert np.flatnonzero(p.labels == 0).tolist() == [0]
-        assert np.flatnonzero(p.labels == 1).tolist() == [2]
-
 
 class TestVolume:
     def test_k4_single_vertex(self, k4):
@@ -180,29 +175,24 @@ def exhaustive_match(g, a, b):
     return best, {tuple(pi) for pi in perms[objective == best].tolist()}
 
 
-def random_pair(k, rng, zero_row=False):
-    """Two seeded random labellings of one random connected graph, each
-    tuple-mode (some vertices uncovered) or full, every block nonempty. With
-    ``zero_row``, block 0 of the first is one vertex the second leaves
-    uncovered, so that block overlaps no block of the second."""
+def random_pair(k, rng, one_vertex=False):
+    """Two seeded random full labellings of one random connected graph, every
+    block nonempty. With ``one_vertex`` and k > 1, block 0 of the first is
+    vertex 0 alone, so that row of the overlap matrix has one nonzero entry."""
     n = k + int(rng.integers(2, 7))
     g = None
     while g is None:
         g = random_connected_graph(n, 0.5, rng)
     pair = []
-    for side, uncovered in enumerate(rng.random(2) < 0.4):
-        uncovered = uncovered or zero_row
-        labels = rng.integers(-1 if uncovered else 0, k, size=n)
-        if not zero_row:
-            labels[rng.permutation(n)[:k]] = np.arange(k)
-        elif side == 0:  # block 0 is vertex 0 alone
-            labels[labels == 0] = -1
+    for side in range(2):
+        if one_vertex and side == 0 and k > 1:
+            labels = rng.integers(1, k, size=n)
             labels[0] = 0
             labels[rng.permutation(n - 1)[:k - 1] + 1] = np.arange(1, k)
-        else:  # vertex 0 uncovered
-            labels[0] = -1
-            labels[rng.permutation(n - 1)[:k] + 1] = np.arange(k)
-        pair.append(Partition(k, labels, allow_uncovered=bool(uncovered)))
+        else:
+            labels = rng.integers(0, k, size=n)
+            labels[rng.permutation(n)[:k]] = np.arange(k)
+        pair.append(Partition(k, labels))
     return g, pair[0], pair[1]
 
 
@@ -229,7 +219,7 @@ class TestMatchPartitions:
     def test_random_pairs_reach_exhaustive_minimum(self, k):
         rng = np.random.default_rng(100 + k)
         cases = [random_pair(k, rng) for _ in range(6)]
-        cases += [random_pair(k, rng, zero_row=True) for _ in range(2)]
+        cases += [random_pair(k, rng, one_vertex=True) for _ in range(2)]
         if k >= 2:
             # every block of a meets every block of b in one vertex: all k! tie
             g, b = disjoint_cliques(k, k)

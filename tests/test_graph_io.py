@@ -100,8 +100,7 @@ def reference_write_edge_list(g: Graph, path):
 def reference_write_partition(p: Partition, path):
     with open(path, "w", encoding="utf-8") as fh:
         for v, b in enumerate(p.labels):
-            if b >= 0:
-                fh.write("%d %d\n" % (v, b))
+            fh.write("%d %d\n" % (v, b))
 
 
 def reference_ring_edges(k: int, s: int, bridges: int, seed: int) -> list:
@@ -308,9 +307,9 @@ def test_writers_match_line_reference_bytes(tmp_path, monkeypatch, chunk_rows):
         reference_write_edge_list(g, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
         k = int(rng.integers(1, 5))
-        labels = rng.integers(-1, k, size=g.n)
+        labels = rng.integers(0, k, size=g.n)
         labels[:k] = np.arange(k)
-        p = Partition(k, labels, allow_uncovered=True)
+        p = Partition(k, labels)
         write_partition(p, tmp_path / "a.part")
         reference_write_partition(p, tmp_path / "b.part")
         assert (tmp_path / "a.part").read_bytes() == (tmp_path / "b.part").read_bytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -598,3 +599,52 @@ class TestNumpyKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 48 * n * (k + dim), peak / (n * (k + dim))
+
+
+def recenter_spy(monkeypatch, adjust=lambda step, clustering: clustering):
+    """Patch kmeans._recenter to pass each step's result through ``adjust``
+    and record what it returns; returns the record."""
+    steps = []
+    real = kmeans._recenter
+
+    def spy(pts, clustering, labels):
+        steps.append(adjust(len(steps), real(pts, clustering, labels)))
+        return steps[-1]
+
+    monkeypatch.setattr(kmeans, "_recenter", spy)
+    return steps
+
+
+class TestLloydExits:
+    """The exits of _lloyd_to_fixpoint that seeded runs do not reach: the
+    iteration cap, and a step whose cost does not fall. On these points the
+    unpatched loop takes more than one step."""
+
+    POINTS = pts_1d(np.arange(10) / 100)
+    CENTERS = np.array([[0.0], [0.01]])
+
+    def test_unpatched_run_takes_several_steps(self, monkeypatch):
+        steps = recenter_spy(monkeypatch)
+        kmeans._lloyd_to_fixpoint(self.POINTS, self.CENTERS)
+        assert len(steps) > 2
+
+    def test_iteration_cap_returns_the_last_step(self, monkeypatch):
+        monkeypatch.setattr(kmeans, "_LLOYD_MAX_ITER", 0)
+        steps = recenter_spy(monkeypatch)
+        got = kmeans._lloyd_to_fixpoint(self.POINTS, self.CENTERS)
+        assert len(steps) == 1 and got is steps[0]
+        assert_same(got, lloyd_step(self.POINTS, Clustering(
+            labels=np.full(10, -1), centers=self.CENTERS, cost=math.nan)))
+
+    @pytest.mark.parametrize("change, kept", [(1.0, 0), (0.0, 0), (-5e-16, 1)])
+    def test_cost_that_does_not_fall_keeps_the_lower(self, monkeypatch, change, kept):
+        """A second step whose cost does not fall by more than 1e-15 ends the
+        loop, which keeps the lower-cost of the two (the first on a tie)."""
+        def adjust(step, clustering):
+            if step != 1:
+                return clustering
+            return dataclasses.replace(clustering, cost=steps[0].cost + change)
+
+        steps = recenter_spy(monkeypatch, adjust)
+        got = kmeans._lloyd_to_fixpoint(self.POINTS, self.CENTERS)
+        assert len(steps) == 2 and got is steps[kept]

@@ -2,14 +2,16 @@
 routes (the numpy block Krylov solver within NUMPY_MAX_WORK, ARPACK past
 it), and its dense path (n <= BRUTEFORCE_MAX_N) against ARPACK."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 
-from spectralpart import (EigenSystem, InputError, NumericError, gen_ring_of_cliques,
+from spectralpart import (EigenSystem, Graph, InputError, NumericError, gen_ring_of_cliques,
                           gen_sbm, projection_distance, spectral, spectrum, sym_eig)
-from spectralpart.linalg import BRUTEFORCE_MAX_N
+from spectralpart.linalg import BRUTEFORCE_MAX_N, ORTHONORMALITY_TOL
 from spectralpart.spectral import NUMPY_MAX_WORK, _KRYLOV_BASIS, _SWEEP_WEIGHT
 from conftest import (complete_graph, cycle_graph, dense_laplacian, disjoint_cliques,
                       path_graph, planted_ten, random_connected_graph, ring_of_cliques,
@@ -106,6 +108,49 @@ def test_graph_past_the_budget_uses_arpack(monkeypatch):
 def test_krylov_handles_pairs_near_n():
     """k + 1 = n - 2: the expansion runs out of new directions and drops them."""
     assert_matches_oracle(path_graph(BRUTEFORCE_MAX_N + 2), BRUTEFORCE_MAX_N - 2)
+
+
+#: K_24 minus these 27 edges, at k = 15: a restart keeps 16 of the 24
+#: columns R^24 holds, and the residuals once offered 9 more.
+K24_MISSING = [(0, 2), (0, 3), (0, 11), (0, 13), (0, 19), (2, 3), (2, 8), (2, 16), (3, 20),
+               (4, 7), (4, 10), (4, 11), (5, 9), (5, 20), (6, 14), (7, 13), (7, 15), (7, 16),
+               (8, 10), (8, 23), (9, 15), (9, 16), (11, 14), (11, 21), (12, 14), (15, 18),
+               (15, 23)]
+
+
+def test_krylov_basis_stays_within_n(monkeypatch):
+    """The expansion adds no more columns than R^n has room for. With one
+    more, the basis lost orthogonality, its residuals grew, and the solve
+    spent the whole budget before ARPACK took over."""
+    g = Graph(24, [e for e in itertools.combinations(range(24), 2) if e not in K24_MISSING])
+    drifts = []
+    real_expansion = spectral._expansion
+
+    def expansion_spy(basis, block):
+        drifts.append(np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0))
+        return real_expansion(basis, block)
+
+    monkeypatch.setattr(spectral, "_expansion", expansion_spy)
+    calls = counting_eigsh(monkeypatch)
+    assert_matches_oracle(g, 15)
+    assert calls == []
+    assert len(drifts) <= 3 and max(drifts) <= ORTHONORMALITY_TOL
+
+
+def test_stalled_basis_hands_over_to_arpack(monkeypatch):
+    """An expansion that adds no column ends the block Krylov solve; ARPACK
+    solves once instead."""
+    g, k = LADDER["sbm-100"]()
+    real_expansion = spectral._expansion
+
+    def stall_after_start(basis, block):
+        new = real_expansion(basis, block)
+        return new if basis.shape[1] == 0 else new[:, :0]
+
+    monkeypatch.setattr(spectral, "_expansion", stall_after_start)
+    calls = counting_eigsh(monkeypatch)
+    assert_matches_oracle(g, k)
+    assert calls == [k + 1]
 
 
 def test_small_eigengap_spends_the_budget_then_uses_arpack(monkeypatch):
