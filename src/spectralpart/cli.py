@@ -167,12 +167,10 @@ def _clustering_section(g, part, cost):
     blocks = []
     for i in range(part.k):
         mask = part.labels == i
-        blocks.append({
-            "size": int(mask.sum()),
-            "volume": G.volume(g, mask),
-            "cut": G.cut(g, mask),
-            "conductance": float(G.conductance(g, mask)),
-        })
+        cut, vol = G.cut(g, mask), G.volume(g, mask)
+        # int / int is correctly rounded, as float(Fraction(cut, vol)) is.
+        blocks.append({"size": int(mask.sum()), "volume": vol, "cut": cut,
+                       "conductance": cut / vol})
     return {"k": part.k, "assignment": part.labels.tolist(), "blocks": blocks, "cost": cost}
 
 

@@ -37,9 +37,8 @@ from .spectral import Embedding
 CHECK_TOL = 1e-9
 #: Smallest singular value of the indicator-coefficient matrix we accept.
 SPAN_CONDITION_TOL = 1e-8
-#: Largest number of optimal k-tuples the brute-force constants list.
-OPTIMAL_TUPLES_MAX = 100_000
-#: Most completions inter_connection scores: under 30 s at ~26 us each (2-core x86).
+#: Most completions of its listed tuples inter_connection scores: under 30 s
+#: at ~26 us each (2-core x86).
 INTERCONNECT_MAX_WORK = 1_000_000
 
 _GAP_SCALE = 20 ** 4          # psi = _GAP_SCALE * k^3 / delta
@@ -179,12 +178,16 @@ def gap_report(g: Graph, k: int, reference: Partition, eig: EigenSystem) -> GapR
 _SUM_TOL = 1e-9
 
 
-def _subset_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``(cut, vol)`` of every vertex subset, indexed by bitmask (bit v set
-    iff vertex v is in the subset), as integer arrays of length 2^n."""
+def _subset_tables(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(cut, vol, phi)`` of every vertex subset, indexed by bitmask (bit v
+    set iff vertex v is in the subset): integer arrays of length 2^n and the
+    float conductances cut / vol, infinite where vol is 0."""
     bits = (np.arange(1 << g.n)[:, None] >> np.arange(g.n)) & 1
     u, v = g.edges[:, 0], g.edges[:, 1]
-    return (bits[:, u] ^ bits[:, v]).sum(axis=1), bits @ g.degrees
+    cut, vol = (bits[:, u] ^ bits[:, v]).sum(axis=1), bits @ g.degrees
+    phi = np.full(len(vol), np.inf)
+    np.divide(cut, vol, out=phi, where=vol > 0)
+    return cut, vol, phi
 
 
 def _subset_min(a: np.ndarray, n: int) -> np.ndarray:
@@ -204,9 +207,8 @@ class PartitionConstants:
     ``rho_hat``: best max-conductance over k-way partitions; ``rho_avr``:
     minimal average conductance among partitions achieving rho_hat. Ties
     are exact Fraction equality. Exact Fractions ride along for downstream
-    exact comparisons. ``optimal_tuples`` lists every k-tuple achieving rho
-    as a canonical labelling (blocks numbered in order of first use, -1 for
-    an uncovered vertex), sorted lexicographically (-1 < 0 < 1 < ...).
+    exact comparisons; the tuples achieving rho are inter_connection's to
+    list.
     """
 
     rho: float
@@ -215,7 +217,6 @@ class PartitionConstants:
     rho_exact: Fraction
     rho_hat_exact: Fraction
     rho_avr_exact: Fraction
-    optimal_tuples: tuple[tuple[int, ...], ...]
 
 
 def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
@@ -232,20 +233,16 @@ def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
     all subsets, since a k-tuple partitions its union. rho_avr minimizes the
     float sum over blocks with phi <= rho_hat, then rechecks every split
     within _SUM_TOL of a subproblem's minimum with exact Fractions. Work is
-    2(k - 1) passes over the (3^n - 1) / 2 splits; optimal_tuples backtracks
-    over the blocks with phi <= rho, visiting only partial tuples that
-    complete, and raises CapacityError past OPTIMAL_TUPLES_MAX tuples.
+    2(k - 1) passes over the (3^n - 1) / 2 splits.
     """
     if g.n > BRUTEFORCE_MAX_N:
         raise CapacityError("brute-force constants support n <= %d (got %d)"
                             % (BRUTEFORCE_MAX_N, g.n))
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
-    n, full = g.n, (1 << g.n) - 1
-    cut, vol = _subset_tables(g)
-    phi = np.full(full + 1, np.inf)
-    np.divide(cut, vol, out=phi, where=vol > 0)
-    splits = _splits(n)
+    full = (1 << g.n) - 1
+    cut, vol, phi = _subset_tables(g)
+    splits = _splits(g.n)
 
     def exact(value) -> Fraction:
         s = int(np.argmax(phi == value))
@@ -274,35 +271,9 @@ def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
         return exact_sums[s, j]
 
     rho_avr = exact_sum(full, k) / k
-
-    # fits[j][S] <= rho iff S holds j disjoint blocks with phi <= rho.
-    fits = [_subset_min(p, n) for p in part[:k]]
-    family = np.flatnonzero(phi <= rho)
-    tuples: list[tuple[int, ...]] = []
-
-    def extend(avail: int, j: int, blocks: list[int]):
-        if j == 0:
-            if len(tuples) == OPTIMAL_TUPLES_MAX:
-                raise CapacityError("more than %d optimal k-tuples" % OPTIMAL_TUPLES_MAX)
-            labels = [-1] * n
-            for i, b in enumerate(blocks):
-                for v in range(n):
-                    if b >> v & 1:
-                        labels[v] = i
-            tuples.append(tuple(labels))
-            return
-        for b in family[(family & ~avail) == 0].tolist():
-            # Later blocks start above this block's lowest vertex.
-            rest = avail & ~b & ~((b & -b) * 2 - 1)
-            if fits[j - 1][rest] <= rho:
-                extend(rest, j - 1, blocks + [b])
-
-    extend(full, k, [])
-    tuples.sort()
     return PartitionConstants(rho=float(rho), rho_hat=float(rho_hat),
                               rho_avr=float(rho_avr), rho_exact=exact(rho),
-                              rho_hat_exact=exact(rho_hat), rho_avr_exact=rho_avr,
-                              optimal_tuples=tuple(tuples))
+                              rho_hat_exact=exact(rho_hat), rho_avr_exact=rho_avr)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +290,8 @@ class InterConnection:
     the worst relative excess boundary of the non-core parts S_i = P_i - Z_i;
     ``kappa = 1/(1 - rho_p)``; ``rho_avr_tilde`` is the minimal average
     conductance among minimizers, achieved by the witness pair: P as a
-    Partition, and Z as its row of optimal_tuples (read-only int64, -1 for
-    an uncovered vertex).
+    Partition, and Z as its canonical labelling (read-only int64, blocks
+    numbered in order of their lowest vertex, -1 for an uncovered vertex).
     """
 
     degenerate: bool
@@ -332,6 +303,43 @@ class InterConnection:
     rho_avr_tilde: float | None = None
     witness_partition: Partition | None = None
     witness_tuple: np.ndarray | None = None
+
+
+def _optimal_tuples(n: int, k: int, rho: float, phi: np.ndarray) -> list:
+    """Every disjoint k-tuple of nonempty blocks with phi <= rho, as
+    ``(labels, cores, free)``: its canonical labelling (blocks numbered by
+    lowest vertex, -1 for an uncovered vertex), its blocks' bitmasks and its
+    uncovered vertices. Backtracks visiting only partial tuples that
+    complete; raises CapacityError once the listed tuples' k^len(free)
+    completions pass INTERCONNECT_MAX_WORK.
+    """
+    part = _partition_layers(_splits(n), phi, k - 1, -np.inf, np.maximum)
+    # fits[j][S] <= rho iff S holds j disjoint blocks with phi <= rho.
+    fits = [_subset_min(p, n) for p in part]
+    family = np.flatnonzero(phi <= rho)
+    tuples = []
+    work = 0
+
+    def extend(avail: int, j: int, blocks: list[int]):
+        nonlocal work
+        if j == 0:
+            labels = tuple(next((i for i, b in enumerate(blocks) if b >> v & 1), -1)
+                           for v in range(n))
+            free = [v for v in range(n) if labels[v] < 0]
+            work += k ** len(free)
+            if work > INTERCONNECT_MAX_WORK:
+                raise CapacityError("inter-connection enumeration too large "
+                                    "(at least %d assignments)" % work)
+            tuples.append((labels, blocks, free))
+            return
+        for b in family[(family & ~avail) == 0].tolist():
+            # Later blocks start above this block's lowest vertex.
+            rest = avail & ~b & ~((b & -b) * 2 - 1)
+            if fits[j - 1][rest] <= rho:
+                extend(rest, j - 1, blocks + [b])
+
+    extend((1 << n) - 1, k, [])
+    return tuples
 
 
 def _phi_ic_exact(cut, vol, blocks, cores):
@@ -354,43 +362,34 @@ def _phi_ic_exact(cut, vol, blocks, cores):
 
 def inter_connection(g: Graph, k: int, constants: PartitionConstants) -> InterConnection:
     """Exhaustive inter-connection constant from ``constants`` =
-    bruteforce_partition_constants(g, k).
+    bruteforce_partition_constants(g, k), so n <= BRUTEFORCE_MAX_N.
 
-    Reads the optimal disjoint k-tuples from constants.optimal_tuples (so n <=
-    BRUTEFORCE_MAX_N) and enumerates all their compatible partition
-    completions, in itertools.product order, scoring each from the subset
-    tables; raises CapacityError if that product exceeds
-    INTERCONNECT_MAX_WORK assignments. Each tuple leaves a vertex free, since
-    one covering all would make rho_hat <= rho, so every completion has an S_i.
+    Only when rho_hat != rho does it list the optimal disjoint k-tuples
+    (raising CapacityError past INTERCONNECT_MAX_WORK completions, before
+    scoring any) and score all their compatible partition completions from
+    the subset tables. Each tuple leaves a vertex free, since one covering
+    all would make rho_hat <= rho, so every completion has an S_i. The
+    witness is the least (phi_ic, avg, tuple labelling, product order).
     """
     if k < 2 or k > g.n:
         raise InputError("k must be in [2, n]")
     if constants.rho_hat_exact == constants.rho_exact:
         return InterConnection(degenerate=True, rho=constants.rho, rho_hat=constants.rho_hat)
 
-    tuples = constants.optimal_tuples
-    work = sum(k ** sum(1 for t in tup if t < 0) for tup in tuples)
-    if work > INTERCONNECT_MAX_WORK:
-        raise CapacityError("inter-connection enumeration too large (%d assignments)" % work)
+    cut, vol, phi = _subset_tables(g)
+    tuples = _optimal_tuples(g.n, k, constants.rho, phi)
+    cut, vol = cut.tolist(), vol.tolist()
 
-    cut, vol = (table.tolist() for table in _subset_tables(g))
-    best = None  # ((phi_ic, avg_phi), tuple_labels, free, combo)
-    for tup in tuples:
-        cores = [0] * k
-        for v, b in enumerate(tup):
-            if b >= 0:
-                cores[b] |= 1 << v
-        free = [v for v in range(g.n) if tup[v] < 0]
-        for combo in itertools.product(range(k), repeat=len(free)):
-            blocks = cores.copy()
-            for v, b in zip(free, combo):
-                blocks[b] |= 1 << v
-            scored = _phi_ic_exact(cut, vol, blocks, cores)
-            if best is None or scored < best[0]:
-                best = (scored, tup, free, combo)
+    def scored():
+        for labels, cores, free in tuples:
+            for combo in itertools.product(range(k), repeat=len(free)):
+                blocks = cores.copy()
+                for v, b in zip(free, combo):
+                    blocks[b] |= 1 << v
+                yield _phi_ic_exact(cut, vol, blocks, cores), labels, free, combo
 
-    (rho_p, avg), tuple_labels, free, combo = best
-    witness_z = np.array(tuple_labels, dtype=np.int64)
+    (rho_p, avg), labels, free, combo = min(scored())
+    witness_z = np.array(labels, dtype=np.int64)
     witness_z.flags.writeable = False
     part_labels = witness_z.copy()
     part_labels[free] = combo

@@ -300,9 +300,9 @@ def power_embedding(eig: EigenSystem, k: int, steps: int, seed: int) -> Embeddin
     rank, and raises NumericError; more than POWER_MAX_STEPS steps raise
     CapacityError before the first matvec. ``eig`` is the graph's spectrum():
     the matvecs continue on its operator, eig.ops, unless that is on numpy
-    and steps * k columns exceed NUMPY_MAX_WORK; then on a scipy CSR.
-    Runtime O(m k p + n k^2 p). Deterministic for fixed (graph, k, steps,
-    seed).
+    and their steps * k * 2m gathered entries exceed NUMPY_MAX_WORK; then on
+    a scipy CSR. Runtime O(m k p + n k^2 p). Deterministic for fixed (graph,
+    k, steps, seed).
     """
     if eig.ops is None:
         raise InputError("power_embedding needs a spectrum() result, with its operator")

@@ -454,13 +454,30 @@ class TestVerify:
         rec = next(c for c in rep["checks"] if c["name"] == "eigenvalue_halved_lower")
         assert rec["passed"]
 
-    def test_too_many_optimal_tuples_is_capacity_error(self, tmp_path, capsys):
-        edge_file = tmp_path / "k14.txt"
-        edge_file.write_text("".join("%d %d\n" % (u, v) for u in range(14)
-                                     for v in range(u + 1, 14)))
-        assert main(["verify", "--input", str(edge_file), "--k", "4"]) == 3
-        err = json.loads(capsys.readouterr().out)
-        assert err["error"]["kind"] == "capacity"
+    def test_degenerate_graph_with_many_optimal_tuples(self, tmp_path, capsys):
+        # Four 2-cliques and two hubs joined to one vertex of each: 179,487
+        # optimal 5-tuples, none of them listed, since rho = rho_hat.
+        edges = [(0, 1), (2, 3), (4, 5), (6, 7)] + [(v, h) for h in (8, 9)
+                                                    for v in (0, 2, 4, 6)]
+        edge_file = tmp_path / "hubs.txt"
+        edge_file.write_text("".join("%d %d\n" % e for e in edges))
+        out = tmp_path / "rep.json"
+        assert main(["verify", "--input", str(edge_file), "--k", "5",
+                     "--out", str(out)]) == 0
+        rep = load_report(out)
+        assert rep["interconnection"] == {"degenerate": True, "rho": 1.0, "rho_hat": 1.0}
+        assert rep["constants"]["rho_avr"] == 0.6
+
+    def test_interconnection_work_cap_is_capacity_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # hub10's one optimal tuple leaves the hub free: 3 completions.
+        monkeypatch.setattr(diagnostics, "INTERCONNECT_MAX_WORK", 2)
+        edge_file = tmp_path / "hub10.txt"
+        write_edge_list(triangles_with_center(), str(edge_file))
+        assert main(["verify", "--input", str(edge_file), "--k", "3"]) == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "capacity"
+        assert "at least 3 assignments" in err["message"]
 
     def test_interconnection_witness_in_report(self, tmp_path, capsys):
         edge_file = tmp_path / "g.txt"

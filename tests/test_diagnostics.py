@@ -236,28 +236,38 @@ class TestBruteforceConstants:
         with pytest.raises(CapacityError):
             bruteforce_partition_constants(g, 2)
 
-    def test_optimal_tuples_capacity(self):
-        # On K14 at k = 4 every partition into blocks of at least 3 vertices
-        # ties: 5.8M optimal tuples, which took 110 s and 1.1 GB uncapped.
-        with pytest.raises(CapacityError, match="optimal k-tuples"):
-            bruteforce_partition_constants(complete_graph(14), 4)
-
     def test_matches_labelling_oracle(self):
+        """The constants, and the optimal tuples inter_connection lists, equal
+        the labelling scan's; the last three inputs have several tuples."""
         rng = np.random.default_rng(7)
         cases = [(triangles_with_center(), 3)]  # the only one with rho < rho_hat
         while len(cases) < 21:
             g = random_connected_graph(int(rng.integers(5, 9)), 0.5, rng)
             if g is not None:
                 cases += [(g, 2), (g, 3)]
+        cases += [(path_graph(9), 3), (cycle_graph(8), 2), (complete_graph(6), 3)]
         for g, k in cases:
             consts = bruteforce_partition_constants(g, k)
-            got = (consts.rho_exact, consts.rho_hat_exact, consts.rho_avr_exact,
-                   set(consts.optimal_tuples))
-            assert got == oracle_constants(g, k)
-            assert len(set(consts.optimal_tuples)) == len(consts.optimal_tuples)
+            rho, rho_hat, rho_avr, tuples = oracle_constants(g, k)
+            assert (consts.rho_exact, consts.rho_hat_exact, consts.rho_avr_exact) == \
+                (rho, rho_hat, rho_avr)
+            assert optimal_tuples(g, k, consts) == sorted(tuples)
 
 
-#: (graph, k, (rho, rho_hat, rho_avr), optimal_tuples, inter-connection) as
+def optimal_tuples(g, k, consts):
+    """The labellings diagnostics._optimal_tuples lists for ``consts`` =
+    bruteforce_partition_constants(g, k), sorted, after checking that each
+    comes with its blocks' bitmasks and its uncovered vertices."""
+    phi = diagnostics._subset_tables(g)[2]
+    rows = diagnostics._optimal_tuples(g.n, k, consts.rho, phi)
+    for labels, cores, free in rows:
+        assert cores == [sum(1 << v for v, b in enumerate(labels) if b == i)
+                         for i in range(k)]
+        assert free == [v for v, b in enumerate(labels) if b < 0]
+    return sorted(labels for labels, _, _ in rows)
+
+
+#: (graph, k, (rho, rho_hat, rho_avr), optimal tuples, inter-connection) as
 #: computed by the recursive labelling scan (hub13 by the subset DP); the
 #: inter-connection entry is None where it is not pinned, else (degenerate,
 #: rho_p, kappa, witness partition, witness tuple).
@@ -296,23 +306,13 @@ def test_constants_parity_pins(name):
     consts = bruteforce_partition_constants(g, k)
     assert (consts.rho_exact, consts.rho_hat_exact, consts.rho_avr_exact) == exact
     assert (consts.rho, consts.rho_hat, consts.rho_avr) == tuple(map(float, exact))
-    assert consts.optimal_tuples == tuples
+    assert optimal_tuples(g, k, consts) == list(tuples)
     if inter is None:
         return
     got = inter_connection(g, k, constants=consts)
     witnesses = [None, None] if got.degenerate else [
         got.witness_partition.labels.tolist(), got.witness_tuple.tolist()]
     assert (got.degenerate, got.rho_p_exact, got.kappa, *witnesses) == inter
-
-
-@pytest.mark.parametrize("g, k", [(path_graph(9), 3), (cycle_graph(8), 2),
-                                  (complete_graph(6), 3)])
-def test_optimal_tuples_in_labelling_order(g, k):
-    """Tuples come out in lexicographic labelling order with -1 first, the
-    order inter_connection's first-best witness depends on."""
-    consts = bruteforce_partition_constants(g, k)
-    assert len(consts.optimal_tuples) > 1
-    assert list(consts.optimal_tuples) == sorted(oracle_constants(g, k)[3])
 
 
 class TestInterConnection:
@@ -340,7 +340,7 @@ class TestInterConnection:
         def score(g, blocks, cores):
             def mask(vs):
                 return sum(1 << v for v in vs)
-            cut, vol = (t.tolist() for t in diagnostics._subset_tables(g))
+            cut, vol, _ = (t.tolist() for t in diagnostics._subset_tables(g))
             return diagnostics._phi_ic_exact(cut, vol, [mask(b) for b in blocks],
                                              [mask(z) for z in cores])
 
@@ -371,7 +371,7 @@ class TestInterConnection:
         consts = bruteforce_partition_constants(g, 3)
         assert (consts.rho_exact, consts.rho_hat_exact, consts.rho_avr_exact) == \
             (Fraction(1, 7), Fraction(1, 5), Fraction(17, 105))
-        assert consts.optimal_tuples == ((0, 0, 0, 1, 1, 1, 2, 2, 2, -1),)
+        assert optimal_tuples(g, 3, consts) == [(0, 0, 0, 1, 1, 1, 2, 2, 2, -1)]
         inter = inter_connection(g, 3, consts)
         assert (inter.rho, inter.rho_hat) == (consts.rho, consts.rho_hat)
         assert inter.rho_p_exact == Fraction(1, 2)
@@ -380,27 +380,75 @@ class TestInterConnection:
         assert inter.witness_partition.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 0]
         assert inter.witness_tuple.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, -1]
 
-    def test_nondegenerate_tuples_leave_a_vertex_free(self):
+    def test_nondegenerate_tuples_leave_a_vertex_free(self, nondegenerate_hub_graphs):
         """The premise that lets inter_connection always find a witness: where
         rho_hat != rho, every optimal tuple leaves a vertex uncovered. Checked
         on cliques joined through hubs, the shape of hub10 and hub13 (random
         G(n, p) graphs are almost never non-degenerate)."""
-        nondegenerate = 0
-        for sizes, links, hub_edge in hub_graph_family():
-            g = hub_graph(sizes, links, hub_edge)
-            for k in (len(sizes), len(sizes) + 1):
-                consts = bruteforce_partition_constants(g, k)
-                if consts.rho_hat_exact == consts.rho_exact:
-                    continue
-                nondegenerate += 1
-                assert consts.optimal_tuples
-                assert all(-1 in row for row in consts.optimal_tuples)
-                inter = inter_connection(g, k, consts)
-                assert not inter.degenerate
-                assert tuple(inter.witness_tuple.tolist()) in consts.optimal_tuples
-                assert inter.witness_tuple.dtype == np.int64
-                assert not inter.witness_tuple.flags.writeable
-        assert nondegenerate >= 4
+        assert len(nondegenerate_hub_graphs) >= 4
+        for g, k, consts in nondegenerate_hub_graphs:
+            tuples = optimal_tuples(g, k, consts)
+            assert tuples
+            assert all(-1 in row for row in tuples)
+            inter = inter_connection(g, k, consts)
+            assert not inter.degenerate
+            assert tuple(inter.witness_tuple.tolist()) in tuples
+            assert inter.witness_tuple.dtype == np.int64
+            assert not inter.witness_tuple.flags.writeable
+
+    def test_witness_ignores_tuple_order(self, nondegenerate_hub_graphs, monkeypatch):
+        """The witness is the least (phi_ic, avg, labelling, completion), so
+        listing the tuples in reverse changes no field of the result."""
+        assert any(len(optimal_tuples(g, k, consts)) > 1
+                   for g, k, consts in nondegenerate_hub_graphs)
+
+        def fields(inter):
+            return (inter.rho_p_exact, inter.kappa, inter.rho_avr_tilde,
+                    inter.witness_partition.labels.tolist(), inter.witness_tuple.tolist())
+
+        listed = diagnostics._optimal_tuples
+        want = [fields(inter_connection(g, k, consts))
+                for g, k, consts in nondegenerate_hub_graphs]
+        monkeypatch.setattr(diagnostics, "_optimal_tuples",
+                            lambda *args: listed(*args)[::-1])
+        got = [fields(inter_connection(g, k, consts))
+               for g, k, consts in nondegenerate_hub_graphs]
+        assert got == want
+
+    def test_degenerate_lists_no_tuples(self, monkeypatch):
+        """Four 2-cliques and two hubs at k = 5 have rho = rho_hat = 1 and
+        179,487 optimal tuples; neither the constants nor inter_connection
+        lists them."""
+        def refuse(*args):
+            raise AssertionError("optimal tuples listed on a degenerate instance")
+
+        monkeypatch.setattr(diagnostics, "_optimal_tuples", refuse)
+        g = hub_graph([2, 2, 2, 2], (1, 1), False)
+        consts = bruteforce_partition_constants(g, 5)
+        assert consts.rho_exact == consts.rho_hat_exact == 1
+        assert consts.rho_avr_exact == Fraction(3, 5)
+        inter = inter_connection(g, 5, consts)
+        assert inter.degenerate and inter.rho_p is None
+
+
+@pytest.fixture(scope="module")
+def nondegenerate_hub_graphs():
+    """(graph, k, constants) of every member of hub_graph_family at k and k +
+    1 clusters whose rho_hat differs from its rho, and of one hub graph with
+    two optimal tuples."""
+    cases = []
+    for sizes, links, hub_edge in hub_graph_family():
+        g = hub_graph(sizes, links, hub_edge)
+        for k in (len(sizes), len(sizes) + 1):
+            consts = bruteforce_partition_constants(g, k)
+            if consts.rho_hat_exact != consts.rho_exact:
+                cases.append((g, k, consts))
+    # Three triangles; hub 10 is joined to vertices 1 and 4, and to vertex 8
+    # through vertex 9. Its two optimal 3-tuples, with 9 uncovered or in the
+    # third block, tie on their best (phi_ic, avg): the labelling picks one.
+    g = Graph(11, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7), (6, 8),
+                   (7, 8), (8, 9), (9, 10), (1, 10), (4, 10)])
+    return cases + [(g, 3, bruteforce_partition_constants(g, 3))]
 
 
 def hub_graph(sizes, links, hub_edge):
@@ -419,13 +467,11 @@ def hub_graph(sizes, links, hub_edge):
 
 def hub_graph_family():
     """(sizes, links, hub_edge) of two to four cliques, all of one size or
-    with the last one larger, joined through one or two hubs, n <= 12. Four
-    cliques take one hub: four 2-cliques and two hubs have more than
-    OPTIMAL_TUPLES_MAX optimal 5-tuples."""
+    with the last one larger, joined through one or two hubs, n <= 12."""
     for c, size, extra in itertools.product((2, 3, 4), (2, 3, 4), (0, 1)):
         sizes = [size] * (c - 1) + [size + extra]
         for links in [(1,), (2,), (1, 1), (1, 2), (2, 2)]:
-            if sum(sizes) + len(links) > 12 or max(links) > size or (c == 4 and len(links) == 2):
+            if sum(sizes) + len(links) > 12 or max(links) > size:
                 continue
             for hub_edge in ((False, True) if len(links) == 2 else (False,)):
                 yield sizes, links, hub_edge
