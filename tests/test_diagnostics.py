@@ -238,14 +238,13 @@ class TestBruteforceConstants:
 
     def test_matches_labelling_oracle(self):
         """The constants, and the optimal tuples inter_connection lists, equal
-        the labelling scan's; the last three inputs have several tuples."""
+        the labelling scan's."""
         rng = np.random.default_rng(7)
         cases = [(triangles_with_center(), 3)]  # the only one with rho < rho_hat
         while len(cases) < 21:
             g = random_connected_graph(int(rng.integers(5, 9)), 0.5, rng)
             if g is not None:
                 cases += [(g, 2), (g, 3)]
-        cases += [(path_graph(9), 3), (cycle_graph(8), 2), (complete_graph(6), 3)]
         for g, k in cases:
             consts = bruteforce_partition_constants(g, k)
             rho, rho_hat, rho_avr, tuples = oracle_constants(g, k)
@@ -265,6 +264,17 @@ def optimal_tuples(g, k, consts):
                          for i in range(k)]
         assert free == [v for v, b in enumerate(labels) if b < 0]
     return sorted(labels for labels, _, _ in rows)
+
+
+@pytest.mark.parametrize("g, k", [(path_graph(9), 3), (cycle_graph(8), 2),
+                                  (complete_graph(6), 3)])
+def test_optimal_tuples_in_labelling_order(g, k):
+    """Graphs with several optimal tuples: the canonical labellings listed,
+    put in lexicographic order with -1 first, are the labelling scan's."""
+    consts = bruteforce_partition_constants(g, k)
+    tuples = optimal_tuples(g, k, consts)
+    assert len(tuples) > 1
+    assert tuples == sorted(oracle_constants(g, k)[3])
 
 
 #: (graph, k, (rho, rho_hat, rho_avr), optimal tuples, inter-connection) as
