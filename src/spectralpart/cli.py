@@ -3,10 +3,10 @@
 Reports are JSON with a fixed field order and schema tag "spectral-part/6";
 rerunning a subcommand with the same inputs and seed reproduces the report
 byte for byte except for the "timings" section. The "config" section echoes
-the subcommand and its parsed flags in flag order; "gap" and "checks" are the
-GapReport and CheckRecord dataclasses, field for field. "gap" is computed
-from the reference partition (planted, else recovered) at every n; the exact
-small-graph constants come only from verify. Only cluster takes
+the subcommand and its parsed flags in flag order; "checks" and "gap" are
+CheckRecord and GapReport, field for field; cluster adds "gap.reference", the
+partition "gap" is computed from at every n ("planted", else "recovered").
+Only verify gives the exact small-graph constants. Only cluster takes
 --mode/--eps/--delta, and only cluster and verify take --restarts; every
 subcommand refuses a --k that differs from the block count of the partition
 that comes with the graph (--gen or --partition). Exit codes: 0 success or
@@ -159,6 +159,8 @@ def _load_graph(args, report):
         part = _read_file(G.read_partition, path, g.n) if path else None
     if part is not None and part.k != args.k:
         raise InputError("partition has %d blocks, --k is %d" % (part.k, args.k))
+    if args.command in ("cluster", "diagnose") and args.k >= g.n:
+        raise InputError("%s needs k < n (got k=%d, n=%d)" % (args.command, args.k, g.n))
     report["graph"] = {"n": g.n, "m": g.m}
     return g, part
 
@@ -183,8 +185,6 @@ def cmd_cluster(args, report, timings):
             power_info = None
         else:
             eig = S.spectrum(g, args.k)
-            if eig.n <= args.k:
-                raise InputError("power mode needs k < n (got k=%d, n=%d)" % (args.k, g.n))
             lam_k = float(eig.values[args.k - 1])
             lam_k1 = float(eig.values[args.k])
             steps = S.required_power_steps(g.n, args.k, args.eps, args.delta, lam_k, lam_k1)
@@ -210,10 +210,10 @@ def cmd_cluster(args, report, timings):
 
 
 def cmd_diagnose(args, report, timings):
+    if not (args.gen or args.partition):
+        raise InputError("diagnose needs a reference partition (--gen or --partition)")
     with _timed(timings, "load"):
         g, planted = _load_graph(args, report)
-        if planted is None:
-            raise InputError("diagnose needs a reference partition (--gen or --partition)")
     with _timed(timings, "checks"):
         emb, eig = S.exact_embedding(g, args.k)
         gap, records = D.run_theorem_checks(g, args.k, planted, emb, eig, args.seed)
@@ -225,9 +225,9 @@ def cmd_diagnose(args, report, timings):
 def cmd_generate(args, report, timings):
     if not args.out:
         raise InputError("generate requires --out (edge list path; partition gets .part)")
-    g, planted = _load_graph(args, report)
-    if planted is None:
+    if not args.gen:
         raise InputError("generate requires --gen")
+    g, planted = _load_graph(args, report)
     part_path = args.out + ".part"
     with _output(args.out) as edges_fh, _output(part_path) as part_fh:
         G.write_edge_list(g, edges_fh)

@@ -29,12 +29,12 @@ from .linalg import rng_stream
 class Graph:
     """Immutable undirected simple graph with minimum degree 1.
 
-    Stores the canonical sorted edge array (u < v, lexicographic) plus the
-    read-only CSR adjacency ``indices``/``indptr``: the sorted neighbor ids of
-    u are ``indices[indptr[u]:indptr[u + 1]]``.
+    Stores the canonical sorted edge array (u < v, lexicographic) and the
+    degrees, both read-only. The adjacency in CSR form is built by the one
+    reader of it, ``spectral.LaplacianOps``.
     """
 
-    __slots__ = ("n", "m", "edges", "degrees", "indices", "indptr")
+    __slots__ = ("n", "m", "edges", "degrees")
 
     def __init__(self, n: int, edges):
         if n <= 0:
@@ -71,21 +71,12 @@ class Graph:
         if np.any(degrees == 0):
             bad = int(np.flatnonzero(degrees == 0)[0])
             raise InputError("isolated vertices are not allowed (vertex %d)" % bad)
-
-        # Arc keys src * n + dst of both directions, sorted: the CSR order.
-        arcs = np.sort(np.concatenate([key, canon[:, 1] * n + canon[:, 0]]))
-        indices = arcs % n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-
-        for arr in (canon, degrees, indices, indptr):
+        for arr in (canon, degrees):
             arr.flags.writeable = False
         self.n = int(n)
         self.m = m
         self.edges = canon
         self.degrees = degrees
-        self.indices = indices
-        self.indptr = indptr
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.m)

@@ -28,7 +28,7 @@ from .linalg import BRUTEFORCE_MAX_N, _partition_layers, _split_blocks, _splits,
 
 #: Radius factor of the ball-restricted center refinement step.
 BALL_RADIUS_FACTOR = 1.0 / 3.0
-#: Restart count used by estimate routines when brute force is unavailable.
+#: Default restarts of best_of_orss, cluster and verify --restarts, and estimates past brute force.
 DEFAULT_RESTARTS = 20
 
 _LLOYD_MAX_ITER = 100

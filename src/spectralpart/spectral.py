@@ -10,18 +10,18 @@ normalized Laplacian from the largest ones of I + D^{-1/2} A D^{-1/2}; every
 eigen-consumer reads it. Two embedding routes are built on top: the exact
 embedding takes the k lowest of those eigenvectors, and the power iteration
 on I + D^{-1/2} A D^{-1/2}, with a QR after every matvec, approximates the
-same subspace using only matvecs. Both run on a numpy CSR while the work
-asked of it stays within NUMPY_MAX_WORK, about what importing scipy costs:
-spectrum first tries a numpy block Krylov-Schur solver under that budget (or
-solves densely, for tiny graphs) and past it calls ARPACK on a scipy CSR. The
-power iteration continues on the operator spectrum finished on, and moves a
-numpy one to a scipy CSR only when its own known matvec count exceeds the
-budget. scipy is imported only there, inside the code that uses it, so
-importing the package loads only numpy.
+same subspace using only matvecs. Both run on one LaplacianOps, which builds
+the graph's CSR, in numpy while their work stays within NUMPY_MAX_WORK (about
+a scipy import's cost): spectrum tries a numpy block Krylov-Schur solver (or,
+for tiny graphs, a dense solve) and past the budget runs ARPACK on the
+operator's scipy form; the power iteration continues on spectrum's operator,
+on its scipy form once its known matvec count exceeds the budget. scipy is
+imported only there, so importing the package loads only numpy.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -57,27 +57,36 @@ class LaplacianOps:
     """Matvec access to I - N and I + N for N = D^{-1/2} A D^{-1/2}.
 
     The two operators are exchangeable through apply_laplacian(x) +
-    apply_shifted(x) = 2x and are both symmetric. The adjacency is a numpy
-    CSR (no scipy import), applied one column at a time by a gather and a
-    segment sum, or with ``use_scipy`` a scipy CSR, whose matvec is about 3x
-    faster but whose import costs about 0.35 s on a 2-core Xeon.
+    apply_shifted(x) = 2x and are both symmetric. The operator builds the
+    graph's CSR adjacency, kept writeable: u's sorted neighbors fill
+    ``_indices`` from ``_starts[u]`` on, d_u of them. Products run in numpy,
+    a column at a time by a gather (several times slower through a read-only
+    index array) and a segment sum, or on scipy after ``on_scipy()``.
     """
 
-    def __init__(self, graph: Graph, use_scipy: bool = False):
-        n = graph.n
+    def __init__(self, graph: Graph):
+        n, edges = graph.n, graph.edges
         self.graph = graph
         self._inv_sqrt_d = 1.0 / np.sqrt(graph.degrees.astype(float))
         self._adj = None
-        if use_scipy:
-            from scipy.sparse import csr_array
+        # Arc keys src * n + dst of both directions, sorted: the CSR order.
+        arcs = np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]])
+        arcs.sort()
+        self._indices = np.remainder(arcs, n, out=arcs)
+        self._starts = np.cumsum(graph.degrees) - graph.degrees
 
-            self._adj = csr_array(
-                (np.ones(len(graph.indices)), graph.indices, graph.indptr), shape=(n, n))
-        else:
-            # A writeable copy: np.take gathers several times slower through
-            # the graph's read-only index array.
-            self._indices = graph.indices.copy()
-            self._starts = graph.indptr[:-1]
+    def on_scipy(self) -> LaplacianOps:
+        """This operator on a scipy CSR over the same index array, or self if
+        on one: a matvec about 3x faster, after a 0.35 s import (2-core Xeon)."""
+        if self._adj is not None:
+            return self
+        from scipy.sparse import csr_array
+
+        ops = copy.copy(self)
+        n, nnz = self.graph.n, len(self._indices)
+        ops._adj = csr_array((np.ones(nnz), self._indices, np.append(self._starts, nnz)),
+                             shape=(n, n))
+        return ops
 
     def _adj_times(self, y: np.ndarray) -> np.ndarray:
         if self._adj is not None:
@@ -157,7 +166,7 @@ def _block_krylov(ops: LaplacianOps, pairs: int):
     of thousands of columns; the budget hands those to ARPACK after about a
     scipy import's worth of work.
     """
-    n, nnz = ops.graph.n, len(ops.graph.indices)
+    n, nnz = ops.graph.n, 2 * ops.graph.m
     cap = min(n, max(_KRYLOV_BASIS, 2 * pairs))
     if cap * (nnz + _SWEEP_WEIGHT * n * cap) > NUMPY_MAX_WORK:
         return None
@@ -194,16 +203,16 @@ def _block_krylov(ops: LaplacianOps, pairs: int):
             return None
 
 
-def _arpack(g: Graph, pairs: int):
-    """The ``pairs`` largest eigenpairs of I + N on a scipy CSR from ARPACK's
-    Lanczos solver (``eigsh``, ``which="LA"``, ``tol=0``), started from
-    ``rng_stream(0, "spectral", "spectrum")``: (ops, theta, vectors)."""
+def _arpack(ops: LaplacianOps, pairs: int):
+    """The ``pairs`` largest eigenpairs of I + N on ``ops.on_scipy()`` from
+    ARPACK's Lanczos solver (``eigsh``, ``which="LA"``, ``tol=0``), started
+    from ``rng_stream(0, "spectral", "spectrum")``: (ops, theta, vectors)."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    ops = LaplacianOps(g, use_scipy=True)
-    shifted = LinearOperator((g.n, g.n), matvec=ops.apply_shifted,
+    ops, n = ops.on_scipy(), ops.graph.n
+    shifted = LinearOperator((n, n), matvec=ops.apply_shifted,
                              matmat=ops.apply_shifted, dtype=float)
-    v0 = rng_stream(0, "spectral", "spectrum").standard_normal(g.n)
+    v0 = rng_stream(0, "spectral", "spectrum").standard_normal(n)
     try:
         return (ops,) + eigsh(shifted, k=pairs, which="LA", tol=0, v0=v0)
     except ArpackError as exc:
@@ -216,14 +225,14 @@ def spectrum(g: Graph, k: int) -> EigenSystem:
     An iterative solver finds the largest eigenvalues theta of I + N through
     LaplacianOps matvecs, and lambda = 2 - theta: _block_krylov on numpy
     while its work stays within NUMPY_MAX_WORK (so these graphs load no
-    scipy), else ARPACK on a scipy CSR. Both start from the fixed stream
+    scipy), else ARPACK on its scipy form. Both start from the fixed stream
     ``rng_stream(0, "spectral", "spectrum")``, so the result is deterministic
     per graph. Where ARPACK cannot run (k+1 >= n-1), and at n <=
     BRUTEFORCE_MAX_N, sym_eig solves the dense I - N instead. Either way
     values are ascending, vectors follow the sym_eig sign rule, and every
     pair must pass ||(I - N)v - lambda v|| <= RESIDUAL_RTOL with columns
     orthonormal to ORTHONORMALITY_TOL, else NumericError. ``ops`` is the
-    operator the solve ended on: the shared numpy one or ARPACK's scipy one.
+    operator the solve ended on: the numpy one or its scipy form, ARPACK's.
     """
     if k < 1 or k > g.n:
         raise InputError("k must be in [1, n]")
@@ -235,7 +244,7 @@ def spectrum(g: Graph, k: int) -> EigenSystem:
         values = full.values[:pairs].copy()
         vectors = full.vectors[:, :pairs].copy()
     else:
-        ops, theta, vectors = _block_krylov(ops, pairs) or _arpack(g, pairs)
+        ops, theta, vectors = _block_krylov(ops, pairs) or _arpack(ops, pairs)
         order = np.argsort(-theta, kind="stable")
         values = 2.0 - theta[order]
         vectors = np.ascontiguousarray(vectors[:, order])
@@ -299,10 +308,9 @@ def power_embedding(eig: EigenSystem, k: int, steps: int, seed: int) -> Embeddin
     R below _RANK_COLLAPSE_RTOL times the largest one means the block lost
     rank, and raises NumericError; more than POWER_MAX_STEPS steps raise
     CapacityError before the first matvec. ``eig`` is the graph's spectrum():
-    the matvecs continue on its operator, eig.ops, unless that is on numpy
-    and their steps * k * 2m gathered entries exceed NUMPY_MAX_WORK; then on
-    a scipy CSR. Runtime O(m k p + n k^2 p). Deterministic for fixed (graph,
-    k, steps, seed).
+    the matvecs run on its operator, eig.ops, or on eig.ops.on_scipy() when
+    their steps * k * 2m gathered entries exceed NUMPY_MAX_WORK. Runtime
+    O(m k p + n k^2 p). Deterministic for fixed (graph, k, steps, seed).
     """
     if eig.ops is None:
         raise InputError("power_embedding needs a spectrum() result, with its operator")
@@ -314,8 +322,8 @@ def power_embedding(eig: EigenSystem, k: int, steps: int, seed: int) -> Embeddin
     if steps > POWER_MAX_STEPS:
         raise CapacityError("power iteration needs %d steps, more than the %d allowed"
                             % (steps, POWER_MAX_STEPS))
-    if ops._adj is None and steps * k * len(g.indices) > NUMPY_MAX_WORK:
-        ops = LaplacianOps(g, use_scipy=True)
+    if steps * k * 2 * g.m > NUMPY_MAX_WORK:
+        ops = ops.on_scipy()
     block = gaussian_matrix(g.n, k, seed)
     for _ in range(steps):
         block, r = np.linalg.qr(ops.apply_shifted(block))

@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from spectralpart import (cli, diagnostics, gen_sbm, spectral, write_edge_list,
+from spectralpart import (cli, diagnostics, gen_sbm, graph, spectral, write_edge_list,
                           write_partition)
 from spectralpart.cli import main, parse_gen_spec
 from spectralpart.diagnostics import GapReport
@@ -637,15 +637,29 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, command):
     assert "No such file" in err["message"]
 
 
-@pytest.mark.parametrize("command", ["cluster", "diagnose", "verify"])
-def test_unwritable_out_fails_before_the_spectrum(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize("argv, message", [
+    *(pytest.param([command, "--gen", "ring:k=3,size=3,b=1", "--k", "3",
+                    "--out", "{tmp}/missing/r.json"], ": cannot write: ", id=command)
+      for command in ("cluster", "diagnose", "verify")),
+    pytest.param(["cluster", "--input", "{tmp}/g.txt", "--k", "3"],
+                 "cluster needs k < n (got k=3, n=3)", id="cluster-k-equals-n"),
+    pytest.param(["cluster", "--input", "{tmp}/g.txt", "--k", "4", "--mode", "power"],
+                 "cluster needs k < n (got k=4, n=3)", id="power-k-above-n"),
+    pytest.param(["diagnose", "--input", "{tmp}/g.txt", "--partition", "{tmp}/p.txt",
+                  "--k", "3"], "diagnose needs k < n (got k=3, n=3)", id="diagnose-k-equals-n"),
+])
+def test_unwritable_out_fails_before_the_spectrum(tmp_path, capsys, monkeypatch, argv, message):
+    """An unwritable --out, or a --k that the graph's size rules out, is an
+    input error found before the spectrum runs."""
     def refuse(*args, **kwargs):
-        raise AssertionError("spectrum called before the report path was opened")
+        raise AssertionError("spectrum called before the input was checked")
 
     monkeypatch.setattr(spectral, "spectrum", refuse)
-    bad = tmp_path / "missing" / "r.json"
-    assert main([command, "--gen", "ring:k=3,size=3,b=1", "--k", "3", "--out", str(bad)]) == 2
-    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "input"
+    (tmp_path / "g.txt").write_text("0 1\n1 2\n0 2\n")
+    (tmp_path / "p.txt").write_text("0 0\n1 1\n2 2\n")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "input" and message in err["message"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -660,8 +674,16 @@ def test_unwritable_out_fails_before_the_spectrum(tmp_path, capsys, monkeypatch,
                  "/dev/full: cannot write: ",
                  marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
                                           reason="needs /dev/full")),
+    (["diagnose", "--input", "{tmp}/g.txt", "--k", "3"],
+     "diagnose needs a reference partition (--gen or --partition)"),
 ])
-def test_input_errors(tmp_path, capsys, argv, message):
+def test_input_errors(tmp_path, capsys, monkeypatch, argv, message):
+    """Errors the flags decide are found before any file is read."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read after the flags had decided the error")
+
+    monkeypatch.setattr(graph, "read_edge_list", refuse)
+    monkeypatch.setattr(graph, "read_partition", refuse)
     (tmp_path / "g.txt").write_text("0 1\n1 2\n0 2\n")
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = json.loads(capsys.readouterr().out)["error"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectralpart import graph
-from spectralpart import (Graph, InputError, Partition, block_conductances,
+from spectralpart import (Graph, InputError, LaplacianOps, Partition, block_conductances,
                           conductance, cut, gen_ring_of_cliques, gen_sbm,
                           match_partitions, read_edge_list, read_partition,
                           sym_diff_volume, volume, write_edge_list,
@@ -26,8 +26,9 @@ class TestGraphConstruction:
 
     def test_neighbors_sorted(self, two_triangles_bridge):
         g, _ = two_triangles_bridge
-        assert g.indices[g.indptr[2]:g.indptr[3]].tolist() == [0, 1, 3]
-        assert g.indices[g.indptr[3]:g.indptr[4]].tolist() == [2, 4, 5]
+        ops = LaplacianOps(g)
+        assert ops._indices[ops._starts[2]:ops._starts[3]].tolist() == [0, 1, 3]
+        assert ops._indices[ops._starts[3]:ops._starts[4]].tolist() == [2, 4, 5]
 
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):

@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from spectralpart import (Graph, InputError, Partition, gen_ring_of_cliques,
+from spectralpart import (Graph, InputError, LaplacianOps, Partition, gen_ring_of_cliques,
                           read_edge_list, read_partition, write_edge_list,
                           write_partition)
 from spectralpart import graph as G
@@ -123,7 +123,8 @@ def reference_ring_edges(k: int, s: int, bridges: int, seed: int) -> list:
 
 
 def reference_graph_arrays(n: int, edges):
-    """Graph's canonical edges, degrees and CSR arrays by two lexsorts."""
+    """Graph's canonical edges and degrees, and LaplacianOps' CSR arrays, by
+    two lexsorts."""
     e = np.asarray(edges, dtype=np.int64)
     canon = np.stack([e.min(axis=1), e.max(axis=1)], axis=1)
     canon = canon[np.lexsort((canon[:, 1], canon[:, 0]))]
@@ -194,7 +195,7 @@ def _outcome(fn, *args):
     except Exception as exc:  # compared by type and text
         return ("error", type(exc).__name__, str(exc))
     if isinstance(result, Graph):
-        return ("graph", result.n, result.edges.tolist(), result.indices.tolist())
+        return ("graph", result.n, result.edges.tolist())
     return ("partition", result.k, result.labels.tolist())
 
 
@@ -332,6 +333,8 @@ def test_graph_arrays_match_lexsort_reference():
         flip = rng.random(len(edges)) < 0.5
         edges[flip] = edges[flip][:, ::-1]
         h = Graph(g.n, edges)
-        for got, want in zip((h.edges, h.degrees, h.indices, h.indptr),
-                             reference_graph_arrays(g.n, edges)):
+        ops = LaplacianOps(h)
+        canon, degrees, indices, indptr = reference_graph_arrays(g.n, edges)
+        for got, want in zip((h.edges, h.degrees, ops._indices, ops._starts),
+                             (canon, degrees, indices, indptr[:-1])):
             assert got.dtype == want.dtype and np.array_equal(got, want)

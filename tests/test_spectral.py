@@ -1,9 +1,10 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spectralpart import (CapacityError, Embedding, GapError, InputError, LaplacianOps,
+from spectralpart import (CapacityError, Embedding, GapError, Graph, InputError, LaplacianOps,
                           NumericError, WeightedPoints, best_of_orss,
                           exact_embedding, gen_ring_of_cliques, gen_sbm,
                           optimal_cost_bruteforce, power_embedding,
@@ -46,6 +47,30 @@ class TestLaplacianOps:
         rng = np.random.default_rng(2)
         x, y = rng.standard_normal((2, g.n))
         assert abs(ops.apply_laplacian(x) @ y - x @ ops.apply_laplacian(y)) < 1e-10
+
+    def test_on_scipy_shares_the_index_array(self):
+        g, _ = gen_sbm([10, 10], 0.5, 0.1, seed=2)
+        ops = LaplacianOps(g)
+        fast = ops.on_scipy()
+        assert fast is not ops and ops._adj is None and fast.on_scipy() is fast
+        assert np.shares_memory(fast._adj.indices, ops._indices)
+        x = np.random.default_rng(3).standard_normal((g.n, 2))
+        assert np.abs(fast.apply_laplacian(x) - ops.apply_laplacian(x)).max() <= 1e-12
+
+    def test_graph_and_operator_keep_one_csr(self):
+        """Graph keeps its edges (16 bytes an edge) and degrees (8 a vertex),
+        the operator its CSR indices (16 an edge), row starts and degree
+        scales (8 a vertex each): no second 2m-entry index array."""
+        g0, _ = gen_sbm([300] * 4, 0.1, 0.005, seed=0)
+        tracemalloc.start()
+        try:
+            g = Graph(g0.n, g0.edges)
+            ops = LaplacianOps(g)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ops.graph is g
+        assert kept <= 32 * (g.n + g.m), kept / (g.n + g.m)
 
 
 class TestExactEmbedding:
@@ -190,8 +215,8 @@ class TestPowerEmbedding:
 
     def test_matvec_route_follows_the_budget(self, monkeypatch):
         """The steps continue on a numpy spectrum operator while steps * k
-        columns fit NUMPY_MAX_WORK and on a new scipy one past it; a scipy
-        spectrum operator (ARPACK ran) is kept at any budget; the same
+        columns fit NUMPY_MAX_WORK and on its on_scipy() form past it; a
+        scipy spectrum operator (ARPACK ran) is kept at any budget; the same
         subspace every way."""
         g, _ = gen_ring_of_cliques(3, 20, 1, seed=3)
         numpy_eig = spectrum(g, 3)
@@ -199,21 +224,53 @@ class TestPowerEmbedding:
         scipy_eig = spectrum(g, 3)
         assert numpy_eig.ops._adj is None and scipy_eig.ops._adj is not None
         routes = []
-        real_init = LaplacianOps.__init__
+        real_on_scipy = LaplacianOps.on_scipy
 
-        def spy(self, graph, use_scipy=False):
-            routes.append(use_scipy)
-            real_init(self, graph, use_scipy)
+        def spy(self):
+            routes.append(self)
+            return real_on_scipy(self)
 
-        monkeypatch.setattr(LaplacianOps, "__init__", spy)
-        work = 30 * 3 * len(g.indices)
+        monkeypatch.setattr(LaplacianOps, "on_scipy", spy)
+        work = 30 * 3 * 2 * g.m
         embeddings = []
         for eig, budget in ((numpy_eig, work), (numpy_eig, work - 1), (scipy_eig, 10 ** 12)):
             monkeypatch.setattr(spectral, "NUMPY_MAX_WORK", budget)
             embeddings.append(power_embedding(eig, 3, 30, 1))
-        assert routes == [True]
+        assert routes == [numpy_eig.ops]
         for emb in embeddings[1:]:
             assert projection_distance(embeddings[0], emb) <= 1e-10
+
+    def test_steps_past_the_budget_reuse_the_spectrum_csr(self, monkeypatch):
+        """Past the budget the steps run on eig.ops' scipy form, over its
+        index array, and build no operator; eig.ops stays on numpy, so a
+        later run within the budget is the same as on a fresh spectrum."""
+        g, _ = gen_ring_of_cliques(3, 20, 1, seed=3)
+        eig = spectrum(g, 3)
+        numpy_ops = eig.ops
+        built, applied = [], []
+        real_init, real_shifted = LaplacianOps.__init__, LaplacianOps.apply_shifted
+
+        def init_spy(self, graph):
+            built.append(graph)
+            real_init(self, graph)
+
+        def shifted_spy(self, x):
+            applied.append(self)
+            return real_shifted(self, x)
+
+        monkeypatch.setattr(LaplacianOps, "__init__", init_spy)
+        monkeypatch.setattr(LaplacianOps, "apply_shifted", shifted_spy)
+        monkeypatch.setattr(spectral, "NUMPY_MAX_WORK", 0)
+        power_embedding(eig, 3, 30, 1)
+        assert built == [] and len(applied) == 30
+        assert applied[0]._adj is not None and all(ops is applied[0] for ops in applied)
+        assert np.shares_memory(applied[0]._adj.indices, numpy_ops._indices)
+        assert eig.ops is numpy_ops and numpy_ops._adj is None
+        monkeypatch.undo()
+        again = power_embedding(eig, 3, 30, 1)
+        fresh = power_embedding(spectrum(g, 3), 3, 30, 1)
+        assert np.array_equal(again.basis, fresh.basis)
+        assert np.array_equal(again.coords, fresh.coords)
 
 
 class TestProjectionDistance:

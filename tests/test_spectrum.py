@@ -197,6 +197,22 @@ def test_power_steps_continue_on_the_arpack_operator(monkeypatch):
     assert emb.k == 4
 
 
+def test_arpack_route_builds_one_csr(arpack_route, monkeypatch):
+    """ARPACK runs on the scipy form of the operator spectrum built, over
+    the same index array; no second operator is built."""
+    built = []
+    real_init = spectral.LaplacianOps.__init__
+
+    def init_spy(ops, graph):
+        built.append(ops)
+        real_init(ops, graph)
+
+    monkeypatch.setattr(spectral.LaplacianOps, "__init__", init_spy)
+    eig = spectrum(cycle_graph(200), 4)
+    assert len(built) == 1 and eig.ops is not built[0] and eig.ops._adj is not None
+    assert np.shares_memory(eig.ops._adj.indices, built[0]._indices)
+
+
 def test_arpack_failure_raises(arpack_route, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise sparse_linalg.ArpackNoConvergence("no convergence", np.empty(0),
