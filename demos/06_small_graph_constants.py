@@ -18,7 +18,7 @@ c1 = bruteforce_partition_constants(g1, 2)
 print("two triangles + bridge, k=2:")
 print("  rho=%s rho_hat=%s rho_avr=%s" % (c1.rho_exact, c1.rho_hat_exact,
                                           c1.rho_avr_exact))
-print("  inter-connection degenerate:", inter_connection(g1, 2, c1).degenerate)
+print("  inter-connection degenerate:", inter_connection(c1).degenerate)
 
 # Three triangles + a hub vertex: the best 3 disjoint sets are the triangles
 # (1/7 each), but any 3-way partition must absorb the hub and pays 1/5.
@@ -29,7 +29,7 @@ print("\nthree triangles + hub, k=3:")
 print("  rho=%s < rho_hat=%s  (completion is forced to pay)"
       % (c2.rho_exact, c2.rho_hat_exact))
 
-inter = inter_connection(g2, 3, c2)
+inter = inter_connection(c2)
 print("  rho_p=%s kappa=%s" % (inter.rho_p_exact, Fraction(inter.kappa)))
 print("  witness partition:", inter.witness_partition.labels.tolist())
 print("  witness tuple:    ", inter.witness_tuple.tolist(),

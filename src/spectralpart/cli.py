@@ -197,7 +197,7 @@ def cmd_cluster(args, report, timings):
     report["power"] = power_info
     with _timed(timings, "gap"):
         reference = planted if planted is not None else result
-        report["gap"] = dataclasses.asdict(D.gap_report(g, args.k, reference, eig))
+        report["gap"] = dataclasses.asdict(D.gap_report(g, reference, eig))
         report["gap"]["reference"] = "planted" if planted is not None else "recovered"
     report["clustering"] = _clustering_section(g, result, clustering.cost)
     if planted is not None:
@@ -215,8 +215,7 @@ def cmd_diagnose(args, report, timings):
     with _timed(timings, "load"):
         g, planted = _load_graph(args, report)
     with _timed(timings, "checks"):
-        emb, eig = S.exact_embedding(g, args.k)
-        gap, records = D.run_theorem_checks(g, args.k, planted, emb, eig, args.seed)
+        eig, gap, records = D.run_theorem_checks(g, planted, args.seed)
     report["eigenvalues"] = [float(v) for v in eig.values]
     report["gap"] = dataclasses.asdict(gap)
     return records
@@ -227,9 +226,9 @@ def cmd_generate(args, report, timings):
         raise InputError("generate requires --out (edge list path; partition gets .part)")
     if not args.gen:
         raise InputError("generate requires --gen")
-    g, planted = _load_graph(args, report)
     part_path = args.out + ".part"
     with _output(args.out) as edges_fh, _output(part_path) as part_fh:
+        g, planted = _load_graph(args, report)
         G.write_edge_list(g, edges_fh)
         G.write_partition(planted, part_fh)
         # Flushed while both files are open, so a failure removes both.
@@ -251,9 +250,9 @@ def cmd_verify(args, report, timings):
         records.append(_record("eigenvalue_halved_lower",
                                float(eig.values[k - 1]) / 2.0, consts.rho, True))
     with _timed(timings, "interconnection"):
-        inter = D.inter_connection(g, k, consts)
-        inter_section = {"degenerate": inter.degenerate, "rho": inter.rho,
-                         "rho_hat": inter.rho_hat}
+        inter = D.inter_connection(consts)
+        inter_section = {"degenerate": inter.degenerate, "rho": consts.rho,
+                         "rho_hat": consts.rho_hat}
         if not inter.degenerate:
             inter_section.update(
                 rho_p=inter.rho_p, kappa=inter.kappa, rho_avr_tilde=inter.rho_avr_tilde,
@@ -342,6 +341,8 @@ def main(argv=None) -> int:
             raise InputError("--k must be at least 2")
         if hasattr(args, "eps") and not (0.0 < args.eps < 1.0 and 0.0 < args.delta < 1.0):
             raise InputError("--eps and --delta must lie in (0, 1)")
+        if getattr(args, "restarts", 1) < 1:
+            raise InputError("--restarts must be at least 1")
         with _output(None if args.command == "generate" else args.out) as out:
             records = args.func(args, report, timings)
             if records is not None:

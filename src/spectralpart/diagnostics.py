@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +31,7 @@ from .errors import CapacityError, GapError, InputError, NumericError, SpanColla
 from .graph import Graph, Partition, block_conductances, volume
 from .kmeans import _cost, separation_ratio
 from .linalg import BRUTEFORCE_MAX_N, EigenSystem, _partition_layers, _split_blocks, _splits
-from .spectral import Embedding
+from .spectral import exact_embedding
 
 #: Absolute slack added on top of every bound before calling a check failed.
 CHECK_TOL = 1e-9
@@ -149,11 +149,10 @@ class GapReport:
     delta_clamped: bool
 
 
-def gap_report(g: Graph, k: int, reference: Partition, eig: EigenSystem) -> GapReport:
-    """Raises InputError on a block-count mismatch or fewer than k+1
+def gap_report(g: Graph, reference: Partition, eig: EigenSystem) -> GapReport:
+    """The report at k = reference.k. Raises InputError on fewer than k+1
     eigenvalues, and GapError when lambda_{k+1} < 1e-12."""
-    if reference.k != k:
-        raise InputError("reference partition has %d blocks, expected %d" % (reference.k, k))
+    k = reference.k
     if eig.n < k + 1:
         raise InputError("need at least k+1 eigenvalues")
     lam_k1 = float(eig.values[k])
@@ -207,8 +206,9 @@ class PartitionConstants:
     ``rho_hat``: best max-conductance over k-way partitions; ``rho_avr``:
     minimal average conductance among partitions achieving rho_hat. Ties
     are exact Fraction equality. Exact Fractions ride along for downstream
-    exact comparisons; the tuples achieving rho are inter_connection's to
-    list.
+    exact comparisons. ``tables`` (not compared or shown) holds what they
+    were read from, for inter_connection to list the tuples achieving rho:
+    ``(cut, vol, phi, part)``, the subset tables and worst-block layers 0..k.
     """
 
     rho: float
@@ -217,6 +217,7 @@ class PartitionConstants:
     rho_exact: Fraction
     rho_hat_exact: Fraction
     rho_avr_exact: Fraction
+    tables: tuple = field(compare=False, repr=False)
 
 
 def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
@@ -271,9 +272,9 @@ def bruteforce_partition_constants(g: Graph, k: int) -> PartitionConstants:
         return exact_sums[s, j]
 
     rho_avr = exact_sum(full, k) / k
-    return PartitionConstants(rho=float(rho), rho_hat=float(rho_hat),
-                              rho_avr=float(rho_avr), rho_exact=exact(rho),
-                              rho_hat_exact=exact(rho_hat), rho_avr_exact=rho_avr)
+    return PartitionConstants(rho=float(rho), rho_hat=float(rho_hat), rho_avr=float(rho_avr),
+                              rho_exact=exact(rho), rho_hat_exact=exact(rho_hat),
+                              rho_avr_exact=rho_avr, tables=(cut, vol, phi, part))
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +296,6 @@ class InterConnection:
     """
 
     degenerate: bool
-    rho: float
-    rho_hat: float
     rho_p: float | None = None
     rho_p_exact: Fraction | None = None
     kappa: float | None = None
@@ -305,17 +304,16 @@ class InterConnection:
     witness_tuple: np.ndarray | None = None
 
 
-def _optimal_tuples(n: int, k: int, rho: float, phi: np.ndarray) -> list:
+def _optimal_tuples(n: int, k: int, rho: float, phi: np.ndarray, part: list) -> list:
     """Every disjoint k-tuple of nonempty blocks with phi <= rho, as
     ``(labels, cores, free)``: its canonical labelling (blocks numbered by
     lowest vertex, -1 for an uncovered vertex), its blocks' bitmasks and its
-    uncovered vertices. Backtracks visiting only partial tuples that
-    complete; raises CapacityError once the listed tuples' k^len(free)
-    completions pass INTERCONNECT_MAX_WORK.
+    uncovered vertices. Backtracks through the worst-block layers ``part``,
+    visiting only partial tuples that complete; raises CapacityError once
+    the listed tuples' k^len(free) completions pass INTERCONNECT_MAX_WORK.
     """
-    part = _partition_layers(_splits(n), phi, k - 1, -np.inf, np.maximum)
     # fits[j][S] <= rho iff S holds j disjoint blocks with phi <= rho.
-    fits = [_subset_min(p, n) for p in part]
+    fits = [_subset_min(p, n) for p in part[:k]]
     family = np.flatnonzero(phi <= rho)
     tuples = []
     work = 0
@@ -360,24 +358,24 @@ def _phi_ic_exact(cut, vol, blocks, cores):
     return max(ratios), sum(Fraction(cut[p], vol[p]) for p in blocks) / len(blocks)
 
 
-def inter_connection(g: Graph, k: int, constants: PartitionConstants) -> InterConnection:
-    """Exhaustive inter-connection constant from ``constants`` =
-    bruteforce_partition_constants(g, k), so n <= BRUTEFORCE_MAX_N.
+def inter_connection(constants: PartitionConstants) -> InterConnection:
+    """Exhaustive inter-connection constant of the graph and k that
+    ``constants`` were computed for, from their tables.
 
-    Only when rho_hat != rho does it list the optimal disjoint k-tuples
-    (raising CapacityError past INTERCONNECT_MAX_WORK completions, before
-    scoring any) and score all their compatible partition completions from
-    the subset tables. Each tuple leaves a vertex free, since one covering
-    all would make rho_hat <= rho, so every completion has an S_i. The
-    witness is the least (phi_ic, avg, tuple labelling, product order).
+    Only when rho_hat != rho (never at k = 1, where phi(V) = 0 makes both
+    0) does it list the optimal disjoint k-tuples (raising CapacityError
+    past INTERCONNECT_MAX_WORK completions, before scoring any) and score
+    all their compatible partition completions from the subset tables. Each
+    tuple leaves a vertex free, since one covering all would make rho_hat <=
+    rho, so every completion has an S_i. The witness is the least (phi_ic,
+    avg, tuple labelling, product order).
     """
-    if k < 2 or k > g.n:
-        raise InputError("k must be in [2, n]")
     if constants.rho_hat_exact == constants.rho_exact:
-        return InterConnection(degenerate=True, rho=constants.rho, rho_hat=constants.rho_hat)
+        return InterConnection(degenerate=True)
 
-    cut, vol, phi = _subset_tables(g)
-    tuples = _optimal_tuples(g.n, k, constants.rho, phi)
+    cut, vol, phi, part = constants.tables
+    n, k = len(phi).bit_length() - 1, len(part) - 1  # 2^n subsets; layers 0..k
+    tuples = _optimal_tuples(n, k, constants.rho, phi, part)
     cut, vol = cut.tolist(), vol.tolist()
 
     def scored():
@@ -394,8 +392,7 @@ def inter_connection(g: Graph, k: int, constants: PartitionConstants) -> InterCo
     part_labels = witness_z.copy()
     part_labels[free] = combo
     return InterConnection(
-        degenerate=False, rho=constants.rho, rho_hat=constants.rho_hat,
-        rho_p=float(rho_p), rho_p_exact=rho_p,
+        degenerate=False, rho_p=float(rho_p), rho_p_exact=rho_p,
         kappa=float(1 / (1 - rho_p)), rho_avr_tilde=float(avg),
         witness_partition=Partition(k, part_labels), witness_tuple=witness_z)
 
@@ -431,11 +428,11 @@ def _record(name, lhs, rhs, hypothesis_met, note="") -> CheckRecord:
                        slack=rhs - lhs, note=note)
 
 
-def run_theorem_checks(g: Graph, k: int, planted: Partition, emb: Embedding,
-                       eig: EigenSystem, seed: int) -> tuple[GapReport, list[CheckRecord]]:
+def run_theorem_checks(g: Graph, planted: Partition,
+                       seed: int) -> tuple[EigenSystem, GapReport, list[CheckRecord]]:
     """Measure every structural inequality against the reference partition.
 
-    ``(emb, eig)`` must be exact_embedding(g, k), and ``seed`` seeds the
+    Solves exact_embedding(g, k) at k = planted.k; ``seed`` seeds the
     k-means restarts of separation_ratio. Emits records, in a fixed order,
     for: per-block indicator-vs-projection closeness (unconditional);
     eigenvector-vs-indicator-mix closeness; row Gram near-orthonormality of
@@ -444,13 +441,15 @@ def run_theorem_checks(g: Graph, k: int, planted: Partition, emb: Embedding,
     desk-scale separation-ratio surrogate. The paper's recovery bound for
     the clustering itself is not a record here.
 
-    Returns ``(gap, records)``, where gap = gap_report(g, k, planted, eig)
-    supplies psi, delta and delta_clamped to every gap-dependent bound, so
-    they use the reference partition's own average conductance, the exact
-    quantity they are proved from; a lambda_{k+1} below 1e-12 raises its
-    GapError.
+    Returns ``(eig, gap, records)``: the spectrum the embedding was read
+    from, and gap = gap_report(g, planted, eig), which supplies psi, delta
+    and delta_clamped to every gap-dependent bound, so they use the
+    reference partition's own average conductance, the exact quantity they
+    are proved from; a lambda_{k+1} below 1e-12 raises its GapError.
     """
-    gap = gap_report(g, k, planted, eig)
+    k = planted.k
+    emb, eig = exact_embedding(g, k)
+    gap = gap_report(g, planted, eig)
     psi, delta, delta_clamped = gap.psi, gap.delta, gap.delta_clamped
     gbar = characteristic_vectors(g, planted)
     phis = np.array([float(f) for f in block_conductances(g, planted)])
@@ -515,4 +514,4 @@ def run_theorem_checks(g: Graph, k: int, planted: Partition, emb: Embedding,
     # Desk-scale surrogate for the separation needed by the seeded clustering.
     records.append(_record("separation_ratio_surrogate", sep.ratio, 1e-3,
                            hyp_gram, sep_note))
-    return gap, records
+    return eig, gap, records

@@ -42,7 +42,7 @@ def big_ring():
     emb, eig = exact_embedding(g, 3)
     gbar = characteristic_vectors(g, p)
     cm = coeff_matrices(eig, gbar, 3)
-    gap = gap_report(g, 3, p, eig)
+    gap = gap_report(g, p, eig)
     sep = separation_ratio(emb, 3, seed=0)
     return {"g": g, "p": p, "emb": emb, "eig": eig, "gbar": gbar, "cm": cm,
             "gap": gap, "sep": sep, "build_seconds": time.time() - t0}
@@ -82,7 +82,7 @@ def test_02_eigenvector_indicator_closeness():
         g, p = gen_ring_of_cliques(k, size, 1, seed=size)
         _, eig = exact_embedding(g, k)
         gbar = characteristic_vectors(g, p)
-        gap = gap_report(g, k, p, eig)
+        gap = gap_report(g, p, eig)
         psi = gap.psi
         assert psi > 4 * k ** 1.5, "gap hypothesis not met at size %d" % size
         cm = coeff_matrices(eig, gbar, k)
@@ -241,7 +241,7 @@ def test_08c_interconnection_bounds():
     k = 3
     applicable = 0
     for g in _applicable_instances():
-        inter = inter_connection(g, k, bruteforce_partition_constants(g, k))
+        inter = inter_connection(bruteforce_partition_constants(g, k))
         if inter.degenerate:
             continue
         applicable += 1

@@ -105,6 +105,22 @@ class TestGenerate:
         assert err["message"].startswith(str(out) + ".part: cannot write: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("unwritable", ["edges", "partition"])
+    def test_unwritable_out_fails_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                    unwritable):
+        """Both output files are opened before the generator runs."""
+        def refuse(*args):
+            raise AssertionError("generator called before the output files were opened")
+
+        monkeypatch.setattr(cli.G, "gen_sbm", refuse)
+        out = tmp_path / "missing" / "g.txt" if unwritable == "edges" else tmp_path / "g.txt"
+        (tmp_path / "g.txt.part").mkdir()
+        assert main(["generate", "--gen", "sbm:sizes=5+5,pin=0.5,pout=0.1", "--k", "2",
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "input" and "cannot write" in err["message"]
+        assert [path.name for path in tmp_path.iterdir()] == ["g.txt.part"]
+
     def test_invalid_spec_usage_error(self, tmp_path, capsys):
         code = main(["generate", "--gen", "ring:k=2", "--k", "2",
                      "--out", str(tmp_path / "x.txt")])
@@ -412,7 +428,7 @@ class TestDiagnose:
         real = diagnostics.run_theorem_checks
         failing = diagnostics._record("forced_failure", 2.0, 1.0, True)
         monkeypatch.setattr(diagnostics, "run_theorem_checks",
-                            lambda *a: (real(*a)[0], [failing]))
+                            lambda *a: (*real(*a)[:2], [failing]))
         out = tmp_path / "rep.json"
         assert main(["diagnose", "--gen", "ring:k=3,size=8,b=1", "--k", "3",
                      "--out", str(out)]) == 1
@@ -537,6 +553,29 @@ class TestVerify:
         assert (inter["rho_p"], inter["kappa"]) == (2 / 3, 3.0)
         assert inter["witness_partition"] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0]
 
+    def test_hub13_builds_each_table_once(self, tmp_path, capsys, monkeypatch):
+        """One verify of hub13 at k = 4 builds the subset tables once and the
+        worst-block DP (the np.maximum layers) once."""
+        calls = []
+        subset_tables, layers = diagnostics._subset_tables, diagnostics._partition_layers
+
+        def counted_tables(g):
+            calls.append("tables")
+            return subset_tables(g)
+
+        def counted_layers(splits, block, k, empty, combine):
+            calls.append(combine.__name__)
+            return layers(splits, block, k, empty, combine)
+
+        monkeypatch.setattr(diagnostics, "_subset_tables", counted_tables)
+        monkeypatch.setattr(diagnostics, "_partition_layers", counted_layers)
+        edge_file = tmp_path / "hub13.txt"
+        write_edge_list(triangles_with_hub13(), str(edge_file))
+        out = tmp_path / "rep.json"
+        assert main(["verify", "--input", str(edge_file), "--k", "4", "--out", str(out)]) == 0
+        assert load_report(out)["interconnection"]["degenerate"] is False
+        assert sorted(calls) == ["add", "maximum", "tables"]
+
     def test_capacity_error(self, tmp_path, capsys):
         edge_file = tmp_path / "big.txt"
         edge_file.write_text("".join("%d %d\n" % (i, i + 1) for i in range(19)))
@@ -641,6 +680,9 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, command):
     *(pytest.param([command, "--gen", "ring:k=3,size=3,b=1", "--k", "3",
                     "--out", "{tmp}/missing/r.json"], ": cannot write: ", id=command)
       for command in ("cluster", "diagnose", "verify")),
+    *(pytest.param([command, "--gen", "ring:k=3,size=3,b=1", "--k", "3", "--restarts", "0"],
+                   "--restarts must be at least 1", id=command + "-restarts")
+      for command in ("cluster", "verify")),
     pytest.param(["cluster", "--input", "{tmp}/g.txt", "--k", "3"],
                  "cluster needs k < n (got k=3, n=3)", id="cluster-k-equals-n"),
     pytest.param(["cluster", "--input", "{tmp}/g.txt", "--k", "4", "--mode", "power"],
@@ -676,6 +718,9 @@ def test_unwritable_out_fails_before_the_spectrum(tmp_path, capsys, monkeypatch,
                                           reason="needs /dev/full")),
     (["diagnose", "--input", "{tmp}/g.txt", "--k", "3"],
      "diagnose needs a reference partition (--gen or --partition)"),
+    *(pytest.param([command, "--input", "{tmp}/g.txt", "--k", "2", "--restarts", "0"],
+                   "--restarts must be at least 1", id=command + "-restarts")
+      for command in ("cluster", "verify")),
 ])
 def test_input_errors(tmp_path, capsys, monkeypatch, argv, message):
     """Errors the flags decide are found before any file is read."""

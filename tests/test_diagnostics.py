@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ from spectralpart import (CapacityError, EigenSystem, GapError, Graph,
                           characteristic_vectors, coeff_matrices, conductance,
                           estimation_centers, exact_embedding, gap_report,
                           gen_ring_of_cliques, gen_sbm, inter_connection,
-                          run_theorem_checks, volume)
+                          run_theorem_checks, sym_eig, volume)
 from conftest import (complete_graph, cycle_graph, dense_laplacian,
                       disjoint_cliques, path_graph, planted_ten, random_connected_graph,
                       ring_of_cliques, triangles_with_center, triangles_with_hub13)
@@ -169,7 +171,7 @@ class TestGapReport:
     def test_disjoint_cliques_infinite_sentinel(self):
         g, p = disjoint_cliques(2, 4)
         _, eig = exact_embedding(g, 2)
-        rep = gap_report(g, 2, p, eig)
+        rep = gap_report(g, p, eig)
         assert rep.psi == math.inf and rep.upsilon == math.inf
         assert rep.delta == 0.0 and not rep.delta_clamped
 
@@ -179,7 +181,7 @@ class TestGapReport:
         g = path_graph(8)
         p = Partition(2, [0] * 3 + [1] * 5)
         _, eig = exact_embedding(g, 2)
-        rep = gap_report(g, 2, p, eig)
+        rep = gap_report(g, p, eig)
         phis = block_conductances(g, p)
         assert rep.rho_avr_proxy == float(sum(phis) / 2)
         assert rep.phi_proxy == float(max(phis))
@@ -188,7 +190,7 @@ class TestGapReport:
     def test_consistency_identity(self):
         g, p = gen_ring_of_cliques(3, 20, 1, seed=1)
         _, eig = exact_embedding(g, 3)
-        rep = gap_report(g, 3, p, eig)
+        rep = gap_report(g, p, eig)
         lam = float(eig.values[3])
         assert rep.psi * rep.rho_avr_proxy == pytest.approx(lam, abs=1e-9)
         assert rep.upsilon * rep.phi_proxy == pytest.approx(lam, abs=1e-9)
@@ -198,15 +200,16 @@ class TestGapReport:
         p = Partition(2, [0] * 3 + [1] * 6)
         _, eig = exact_embedding(g, 2)
         with pytest.raises(GapError):
-            gap_report(g, 2, p, eig)  # lambda_3 = 0: three components
+            gap_report(g, p, eig)  # lambda_3 = 0: three components
         with pytest.raises(GapError):
-            run_theorem_checks(g, 2, p, *exact_embedding(g, 2), seed=0)
+            run_theorem_checks(g, p, seed=0)
 
     def test_block_count_mismatch(self, two_triangles_bridge):
+        """A 2-block reference needs 3 eigenpairs; exact_embedding(g, 1) has 2."""
         g, p = two_triangles_bridge
-        _, eig = exact_embedding(g, 2)
-        with pytest.raises(InputError):
-            gap_report(g, 3, p, eig)
+        _, eig = exact_embedding(g, 1)
+        with pytest.raises(InputError, match="need at least k\\+1 eigenvalues"):
+            gap_report(g, p, eig)
 
 
 class TestBruteforceConstants:
@@ -236,6 +239,14 @@ class TestBruteforceConstants:
         with pytest.raises(CapacityError):
             bruteforce_partition_constants(g, 2)
 
+    def test_tables_not_compared_or_shown(self):
+        """The tables ride along for inter_connection, outside equality and repr."""
+        consts = bruteforce_partition_constants(triangles_with_center(), 3)
+        cut, vol, phi, part = consts.tables
+        assert (len(cut), len(vol), len(phi), len(part)) == (1 << 10, 1 << 10, 1 << 10, 4)
+        assert dataclasses.replace(consts, tables=None) == consts
+        assert "tables" not in repr(consts)
+
     def test_matches_labelling_oracle(self):
         """The constants, and the optimal tuples inter_connection lists, equal
         the labelling scan's."""
@@ -257,8 +268,7 @@ def optimal_tuples(g, k, consts):
     """The labellings diagnostics._optimal_tuples lists for ``consts`` =
     bruteforce_partition_constants(g, k), sorted, after checking that each
     comes with its blocks' bitmasks and its uncovered vertices."""
-    phi = diagnostics._subset_tables(g)[2]
-    rows = diagnostics._optimal_tuples(g.n, k, consts.rho, phi)
+    rows = diagnostics._optimal_tuples(g.n, k, consts.rho, *consts.tables[2:])
     for labels, cores, free in rows:
         assert cores == [sum(1 << v for v, b in enumerate(labels) if b == i)
                          for i in range(k)]
@@ -319,7 +329,7 @@ def test_constants_parity_pins(name):
     assert optimal_tuples(g, k, consts) == list(tuples)
     if inter is None:
         return
-    got = inter_connection(g, k, constants=consts)
+    got = inter_connection(consts)
     witnesses = [None, None] if got.degenerate else [
         got.witness_partition.labels.tolist(), got.witness_tuple.tolist()]
     assert (got.degenerate, got.rho_p_exact, got.kappa, *witnesses) == inter
@@ -328,10 +338,8 @@ def test_constants_parity_pins(name):
 class TestInterConnection:
     def test_triangles_with_center(self):
         g = triangles_with_center()
-        inter = inter_connection(g, 3, bruteforce_partition_constants(g, 3))
+        inter = inter_connection(bruteforce_partition_constants(g, 3))
         assert not inter.degenerate
-        assert inter.rho == pytest.approx(1 / 7)
-        assert inter.rho_hat == pytest.approx(1 / 5)
         assert inter.rho_p_exact == Fraction(1, 2)
         assert inter.kappa == pytest.approx(2.0)
         # range bound: 0 < rho_p <= 1 - 1/(k-1)
@@ -363,9 +371,32 @@ class TestInterConnection:
         assert score(cliques, [range(3), range(3, 9)], [range(3), [3, 4, 6, 7, 8]])[0] \
             == Fraction(-10 ** 9)
 
+    @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(6), triangles_with_center()],
+                             ids=["path5", "cycle6", "hub10"])
+    def test_k1_is_degenerate(self, g):
+        """At k = 1, phi(V) = 0 makes rho = rho_hat = 0."""
+        consts = bruteforce_partition_constants(g, 1)
+        assert consts.rho_exact == consts.rho_hat_exact == 0
+        inter = inter_connection(consts)
+        assert inter.degenerate and inter.rho_p is None
+
+    def test_reads_the_constants_tables(self, monkeypatch):
+        """inter_connection builds neither the subset tables nor a DP layer."""
+        g = triangles_with_hub13()
+        consts = bruteforce_partition_constants(g, 4)
+
+        def refuse(*args):
+            raise AssertionError("inter_connection rebuilt a table")
+
+        monkeypatch.setattr(diagnostics, "_subset_tables", refuse)
+        monkeypatch.setattr(diagnostics, "_partition_layers", refuse)
+        inter = inter_connection(consts)
+        assert (inter.rho_p_exact, inter.kappa) == (Fraction(2, 3), 3.0)
+        assert inter.witness_tuple.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, -1]
+
     def test_degenerate_marker(self, two_triangles_bridge):
         g, _ = two_triangles_bridge
-        inter = inter_connection(g, 2, bruteforce_partition_constants(g, 2))
+        inter = inter_connection(bruteforce_partition_constants(g, 2))
         assert inter.degenerate
         assert inter.rho_p is None
 
@@ -374,7 +405,7 @@ class TestInterConnection:
         g = triangles_with_center()
         monkeypatch.setattr(diagnostics, "INTERCONNECT_MAX_WORK", 2)
         with pytest.raises(CapacityError, match="3 assignments"):
-            inter_connection(g, 3, bruteforce_partition_constants(g, 3))
+            inter_connection(bruteforce_partition_constants(g, 3))
 
     def test_precomputed_constants_give_same_result(self):
         g = triangles_with_center()
@@ -382,8 +413,7 @@ class TestInterConnection:
         assert (consts.rho_exact, consts.rho_hat_exact, consts.rho_avr_exact) == \
             (Fraction(1, 7), Fraction(1, 5), Fraction(17, 105))
         assert optimal_tuples(g, 3, consts) == [(0, 0, 0, 1, 1, 1, 2, 2, 2, -1)]
-        inter = inter_connection(g, 3, consts)
-        assert (inter.rho, inter.rho_hat) == (consts.rho, consts.rho_hat)
+        inter = inter_connection(consts)
         assert inter.rho_p_exact == Fraction(1, 2)
         assert inter.kappa == 2.0
         assert inter.rho_avr_tilde == float(Fraction(17, 105))
@@ -400,7 +430,7 @@ class TestInterConnection:
             tuples = optimal_tuples(g, k, consts)
             assert tuples
             assert all(-1 in row for row in tuples)
-            inter = inter_connection(g, k, consts)
+            inter = inter_connection(consts)
             assert not inter.degenerate
             assert tuple(inter.witness_tuple.tolist()) in tuples
             assert inter.witness_tuple.dtype == np.int64
@@ -417,11 +447,11 @@ class TestInterConnection:
                     inter.witness_partition.labels.tolist(), inter.witness_tuple.tolist())
 
         listed = diagnostics._optimal_tuples
-        want = [fields(inter_connection(g, k, consts))
+        want = [fields(inter_connection(consts))
                 for g, k, consts in nondegenerate_hub_graphs]
         monkeypatch.setattr(diagnostics, "_optimal_tuples",
                             lambda *args: listed(*args)[::-1])
-        got = [fields(inter_connection(g, k, consts))
+        got = [fields(inter_connection(consts))
                for g, k, consts in nondegenerate_hub_graphs]
         assert got == want
 
@@ -437,7 +467,7 @@ class TestInterConnection:
         consts = bruteforce_partition_constants(g, 5)
         assert consts.rho_exact == consts.rho_hat_exact == 1
         assert consts.rho_avr_exact == Fraction(3, 5)
-        inter = inter_connection(g, 5, consts)
+        inter = inter_connection(consts)
         assert inter.degenerate and inter.rho_p is None
 
 
@@ -487,15 +517,15 @@ def hub_graph_family():
                 yield sizes, links, hub_edge
 
 
-def _checks(g, k, p, seed):
-    """run_theorem_checks on the exact embedding of g."""
-    return run_theorem_checks(g, k, p, *exact_embedding(g, k), seed)
+def _checks(g, p, seed):
+    """run_theorem_checks's gap report and records."""
+    return run_theorem_checks(g, p, seed)[1:]
 
 
 class TestRunTheoremChecks:
     def test_disjoint_cliques_all_applicable_pass(self):
         g, p = disjoint_cliques(3, 4)
-        _, records = _checks(g, 3, p, 0)
+        _, records = _checks(g, p, 0)
         assert all(r.passed for r in records if r.hypothesis_met)
         by_name = {r.name: r for r in records}
         # infinite gap: closeness bounds collapse to ~0 and still hold
@@ -506,7 +536,7 @@ class TestRunTheoremChecks:
 
     def test_ring_instance_all_applicable_pass(self):
         g, p = gen_ring_of_cliques(3, 50, 1, seed=3)
-        _, records = _checks(g, 3, p, 0)
+        _, records = _checks(g, p, 0)
         assert all(r.passed for r in records if r.hypothesis_met)
         names = [r.name for r in records]
         assert names[:3] == ["indicator_vs_projection[%d]" % i for i in range(3)]
@@ -515,7 +545,7 @@ class TestRunTheoremChecks:
     def test_low_gap_clique_not_applicable(self):
         g = complete_graph(12)
         p = Partition(3, [0] * 4 + [1] * 4 + [2] * 4)
-        _, records = _checks(g, 3, p, 0)
+        _, records = _checks(g, p, 0)
         by_name = {r.name: r for r in records}
         assert not by_name["eigenvector_vs_indicator_mix[0]"].hypothesis_met
         assert not by_name["center_row_norm[0]"].hypothesis_met
@@ -526,13 +556,19 @@ class TestRunTheoremChecks:
 
     def test_deterministic(self):
         g, p = gen_ring_of_cliques(3, 12, 1, seed=5)
-        assert _checks(g, 3, p, 9) == _checks(g, 3, p, 9)
+        assert _checks(g, p, 9) == _checks(g, p, 9)
 
     def test_returns_the_gap_report(self):
         g, p = gen_ring_of_cliques(3, 12, 1, seed=5)
-        emb, eig = exact_embedding(g, 3)
-        gap, _ = run_theorem_checks(g, 3, p, emb, eig, 9)
-        assert gap == gap_report(g, 3, p, eig)
+        eig, gap, _ = run_theorem_checks(g, p, 9)
+        assert gap == gap_report(g, p, eig)
+
+    def test_solves_the_exact_embedding(self):
+        g, p = gen_ring_of_cliques(3, 12, 1, seed=5)
+        eig, _, _ = run_theorem_checks(g, p, 9)
+        _, want = exact_embedding(g, 3)
+        assert np.array_equal(eig.values, want.values)
+        assert np.array_equal(eig.vectors, want.vectors)
 
     def test_unconditional_bound_random_sbm_sample(self):
         # a slice of the acceptance criterion: 10 seeded SBM instances
@@ -541,7 +577,25 @@ class TestRunTheoremChecks:
             k = int(rng.integers(2, 5))
             sizes = rng.integers(8, 20, size=k).tolist()
             g, p = gen_sbm(sizes, 0.6, 0.05, seed=seed)
-            _, records = _checks(g, k, p, seed)
+            _, records = _checks(g, p, seed)
             for r in records:
                 if r.name.startswith("indicator_vs_projection"):
                     assert r.passed
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: characteristic_vectors(path_graph(5), Partition(2, [0, 0, 1, 1])),
+                 "partition does not cover this graph", id="indicators-n"),
+    pytest.param(lambda: coeff_matrices(sym_eig(np.eye(3)), np.zeros((3, 2)), 3),
+                 "need k <= n and k indicator columns", id="coeffs-columns"),
+    pytest.param(lambda: coeff_matrices(sym_eig(np.eye(3)), np.zeros((3, 4)), 4),
+                 "need k <= n and k indicator columns", id="coeffs-k-above-n"),
+    pytest.param(lambda: bruteforce_partition_constants(path_graph(5), 0),
+                 "k must be in [1, n]", id="constants-k"),
+    pytest.param(lambda: bruteforce_partition_constants(path_graph(5), 6),
+                 "k must be in [1, n]", id="constants-k-above-n"),
+])
+def test_input_checks(call, message):
+    """Public-API input checks that no other test reaches."""
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -501,3 +502,31 @@ class TestGraphProperties:
             identity = sum(sym_diff_volume(g, a.labels == i, b.labels == i)
                            for i in range(3))
             assert matched <= identity
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Graph(0, [(0, 1)]), "vertex count must be positive", id="graph-n"),
+    pytest.param(lambda: Graph(3, []), "at least one edge", id="graph-no-edges"),
+    pytest.param(lambda: Graph(3, [(0, 1, 2)]), "(u, v) pairs", id="graph-triples"),
+    pytest.param(lambda: Partition(0, [0]), "block count must be at least 1", id="partition-k"),
+    pytest.param(lambda: Partition(1, []), "nonempty 1-d sequence", id="partition-empty"),
+    pytest.param(lambda: Partition(1, [[0]]), "nonempty 1-d sequence", id="partition-2d"),
+    pytest.param(lambda: volume(complete_graph(4), np.ones(3, dtype=bool)),
+                 "boolean mask must have length n", id="mask-length"),
+    pytest.param(lambda: block_conductances(complete_graph(4), Partition(2, [0, 1])),
+                 "partition labels length 2 != vertex count 4", id="partition-length"),
+    pytest.param(lambda: gen_ring_of_cliques(3, 4, 17, seed=0),
+                 "bridges_per_gap must be in [0, clique_size^2]", id="ring-bridges"),
+    pytest.param(lambda: gen_ring_of_cliques(3, 4, -1, seed=0),
+                 "bridges_per_gap must be in [0, clique_size^2]", id="ring-negative-bridges"),
+    pytest.param(lambda: gen_sbm([3, 0], 0.5, 0.1, seed=0), "sizes must be positive",
+                 id="sbm-empty-block"),
+    pytest.param(lambda: gen_sbm([], 0.5, 0.1, seed=0), "sizes must be positive",
+                 id="sbm-no-blocks"),
+    pytest.param(lambda: gen_sbm([3, 3], 0.2, 0.5, seed=0), "require p_out <= p_in",
+                 id="sbm-p-out-above-p-in"),
+])
+def test_input_checks(call, message):
+    """Public-API input checks that no other test reaches."""
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -648,3 +649,23 @@ class TestLloydExits:
         steps = recenter_spy(monkeypatch, adjust)
         got = kmeans._lloyd_to_fixpoint(self.POINTS, self.CENTERS)
         assert len(steps) == 2 and got is steps[kept]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: WeightedPoints(coords=np.zeros((3, 2)), weights=np.ones(2)),
+                 "coords must be n x dim and weights length n", id="points-shape"),
+    pytest.param(lambda: WeightedPoints(coords=np.zeros((0, 2)), weights=np.ones(0)),
+                 "empty point set", id="points-empty"),
+    pytest.param(lambda: orss_kmeans(pts_1d([0.0, 1.0, 2.0]), 0, 0), "k must be >= 1",
+                 id="orss-k"),
+    pytest.param(lambda: orss_kmeans(pts_1d([0.0, 1.0, 2.0]), 4, 0), "need at least k points",
+                 id="orss-k-above-n"),
+    pytest.param(lambda: best_of_orss(pts_1d([0.0, 1.0, 2.0]), 2, 0, restarts=0),
+                 "restarts must be >= 1", id="best-of-orss-restarts"),
+    pytest.param(lambda: optimal_cost_bruteforce(pts_1d([0.0, 1.0, 2.0]), 0),
+                 "k must be >= 1", id="bruteforce-k"),
+])
+def test_input_checks(call, message):
+    """Public-API input checks that no other test reaches."""
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()

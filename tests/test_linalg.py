@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,15 @@ class TestPartitionLayers:
         del passes[:]
         optimal_cost_bruteforce(pts, k)
         assert len(passes) == k - 2
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: sym_eig(np.array([[1.0, np.nan], [np.nan, 1.0]])),
+                 "sym_eig requires finite entries", id="sym-eig-nan"),
+    pytest.param(lambda: sym_eig(np.array([[np.inf]])), "sym_eig requires finite entries",
+                 id="sym-eig-inf"),
+])
+def test_input_checks(call, message):
+    """Public-API input checks that no other test reaches."""
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()

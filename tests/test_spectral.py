@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -380,3 +381,19 @@ class TestSpectrumInvariants:
         _, eig = exact_embedding(g, 4)
         assert int(np.sum(np.abs(eig.values) < 1e-8)) == 4
 
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: required_power_steps(0, 2, 0.1, 0.1, 0.1, 0.5),
+                 "n and k must be positive", id="steps-n"),
+    pytest.param(lambda: required_power_steps(10, 0, 0.1, 0.1, 0.1, 0.5),
+                 "n and k must be positive", id="steps-k"),
+    pytest.param(lambda: power_embedding(spectrum(complete_graph(4), 2), 0, 1, 0),
+                 "k must be in [1, n]", id="power-k"),
+    pytest.param(lambda: power_embedding(spectrum(complete_graph(4), 2), 5, 1, 0),
+                 "k must be in [1, n]", id="power-k-above-n"),
+])
+def test_input_checks(call, message):
+    """Public-API input checks that no other test reaches."""
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()
