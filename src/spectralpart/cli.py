@@ -1,17 +1,17 @@
 """Command-line interface: cluster, diagnose, generate, verify.
 
-Reports are JSON with a fixed field order and schema tag "spectral-part/6";
-rerunning a subcommand with the same inputs and seed reproduces the report
-byte for byte except for the "timings" section. The "config" section echoes
-the subcommand and its parsed flags in flag order; "checks" and "gap" are
-CheckRecord and GapReport, field for field; cluster adds "gap.reference", the
-partition "gap" is computed from at every n ("planted", else "recovered").
-Only verify gives the exact small-graph constants. Only cluster takes
---mode/--eps/--delta, and only cluster and verify take --restarts; every
-subcommand refuses a --k that differs from the block count of the partition
-that comes with the graph (--gen or --partition). Exit codes: 0 success or
-all applicable checks passed, 1 an applicable check failed, 2 input error, 3
-numeric or capacity error (running out of memory is a capacity error).
+Reports are JSON with a fixed field order and schema tag "spectral-part/7";
+rerunning a subcommand with the same inputs and seed reproduces its report
+byte for byte, "timings" aside. "config" echoes the subcommand and its parsed
+flags in flag order, and no section repeats a "config" or "constants" value;
+"checks" and "gap" are CheckRecord and GapReport, field for field; cluster
+adds "gap.reference", the partition "gap" is computed from at every n
+("planted", else "recovered"). Only verify gives the exact small-graph
+constants. Only cluster takes --mode/--eps/--delta, and only cluster and
+verify take --restarts; every subcommand refuses a --k other than the block
+count of the partition that comes with the graph (--gen or --partition). Exit
+codes: 0 success or all applicable checks passed, 1 an applicable check
+failed, 2 input error, 3 numeric or capacity error (out of memory included).
 
 The environment variable SPECTRAL_PART_THREADS caps internal (BLAS) thread
 parallelism; the package applies it when it is imported, before numpy loads.
@@ -36,7 +36,7 @@ from .diagnostics import CHECK_TOL, _record
 from .errors import CapacityError, InputError, NumericError
 from .kmeans import DEFAULT_RESTARTS, best_of_orss, optimal_cost_bruteforce
 
-SCHEMA = "spectral-part/6"
+SCHEMA = "spectral-part/7"
 
 _EXIT_CHECK_FAILED = 1
 _EXIT_INPUT = 2
@@ -173,7 +173,7 @@ def _clustering_section(g, part, cost):
         # int / int is correctly rounded, as float(Fraction(cut, vol)) is.
         blocks.append({"size": int(mask.sum()), "volume": vol, "cut": cut,
                        "conductance": cut / vol})
-    return {"k": part.k, "assignment": part.labels.tolist(), "blocks": blocks, "cost": cost}
+    return {"assignment": part.labels.tolist(), "blocks": blocks, "cost": cost}
 
 
 def cmd_cluster(args, report, timings):
@@ -189,7 +189,7 @@ def cmd_cluster(args, report, timings):
             lam_k1 = float(eig.values[args.k])
             steps = S.required_power_steps(g.n, args.k, args.eps, args.delta, lam_k, lam_k1)
             emb = S.power_embedding(eig, args.k, steps, args.seed)
-            power_info = {"steps": steps, "seed": args.seed, "eps": args.eps, "delta": args.delta}
+            power_info = {"steps": steps}
     with _timed(timings, "kmeans"):
         clustering = best_of_orss(emb, args.k, args.seed, args.restarts)
         result = G.Partition(args.k, clustering.labels)
@@ -251,8 +251,7 @@ def cmd_verify(args, report, timings):
                                float(eig.values[k - 1]) / 2.0, consts.rho, True))
     with _timed(timings, "interconnection"):
         inter = D.inter_connection(consts)
-        inter_section = {"degenerate": inter.degenerate, "rho": consts.rho,
-                         "rho_hat": consts.rho_hat}
+        inter_section = {"degenerate": inter.degenerate}
         if not inter.degenerate:
             inter_section.update(
                 rho_p=inter.rho_p, kappa=inter.kappa, rho_avr_tilde=inter.rho_avr_tilde,

@@ -92,14 +92,15 @@ class CoeffMatrices:
     condition: float
 
 
-def coeff_matrices(eig: EigenSystem, gbar: np.ndarray, k: int) -> CoeffMatrices:
-    """Assemble the coefficient matrix and its inverse.
+def coeff_matrices(eig: EigenSystem, gbar: np.ndarray) -> CoeffMatrices:
+    """Assemble the coefficient matrix and its inverse at k = gbar's columns.
 
     Raises SpanCollapseError when the projected indicators do not span the
     leading eigenspace (smallest singular value below SPAN_CONDITION_TOL).
     """
-    if k > eig.n or gbar.shape[1] != k:
-        raise InputError("need k <= n and k indicator columns")
+    k = gbar.shape[1]
+    if k > eig.n:
+        raise InputError("need at most n indicator columns (got %d, n=%d)" % (k, eig.n))
     fwd = eig.vectors[:, :k].T @ gbar
     condition = float(np.linalg.svd(fwd, compute_uv=False).min())
     if condition < SPAN_CONDITION_TOL:
@@ -140,7 +141,6 @@ class GapReport:
     bruteforce_partition_constants' job, not this report's.
     """
 
-    k: int
     rho_avr_proxy: float
     phi_proxy: float
     psi: float
@@ -164,7 +164,7 @@ def gap_report(g: Graph, reference: Partition, eig: EigenSystem) -> GapReport:
     psi = lam_k1 / rho_avr if rho_avr > 0 else math.inf
     upsilon = lam_k1 / phi_max if phi_max > 0 else math.inf
     raw = _GAP_SCALE * k ** 3 / psi
-    return GapReport(k=k, rho_avr_proxy=rho_avr, phi_proxy=phi_max, psi=psi,
+    return GapReport(rho_avr_proxy=rho_avr, phi_proxy=phi_max, psi=psi,
                      upsilon=upsilon, delta=min(raw, 0.5), delta_clamped=raw > 0.5)
 
 
@@ -458,7 +458,7 @@ def run_theorem_checks(g: Graph, planted: Partition,
 
     psi_note = "psi=%.6g (reference partition)" % psi
 
-    cm = coeff_matrices(eig, gbar, k)
+    cm = coeff_matrices(eig, gbar)
     centers = estimation_centers(cm, vols)
 
     records: list[CheckRecord] = []

@@ -372,14 +372,13 @@ class SeparationEstimate:
 
     ``method`` is "bruteforce" (exact, n <= BRUTEFORCE_MAX_N) or "restarts"
     (best of DEFAULT_RESTARTS heuristic upper bounds for both costs, so the
-    ratio is only an estimate). ``degenerate`` flags a 0/0 ratio.
+    ratio is only an estimate). A 0/0 ratio (delta_km1 <= 0) reads 0.
     """
 
     ratio: float
     delta_k: float
     delta_km1: float
     method: str
-    degenerate: bool
 
 
 def separation_ratio(pts: WeightedPoints, k: int, seed: int) -> SeparationEstimate:
@@ -396,8 +395,5 @@ def separation_ratio(pts: WeightedPoints, k: int, seed: int) -> SeparationEstima
             delta_km1, _ = optimal_cost_bruteforce(pts, 1)
         else:
             delta_km1 = best_of_orss(pts, k - 1, seed).cost
-    if delta_km1 <= 0.0:
-        return SeparationEstimate(ratio=0.0, delta_k=delta_k, delta_km1=delta_km1,
-                                  method=method, degenerate=True)
-    return SeparationEstimate(ratio=delta_k / delta_km1, delta_k=delta_k,
-                              delta_km1=delta_km1, method=method, degenerate=False)
+    ratio = delta_k / delta_km1 if delta_km1 > 0.0 else 0.0
+    return SeparationEstimate(ratio=ratio, delta_k=delta_k, delta_km1=delta_km1, method=method)

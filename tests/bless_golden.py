@@ -7,7 +7,9 @@ rewrites tests/golden/: one <run>.json per run, keys.json (the key paths
 per command, under the current schema tag) and machine.json (the machine,
 Python, numpy, scipy and BLAS build the reports were made on). It refuses,
 with exit status 1 and nothing written, when the key paths of a schema tag
-that is already blessed would change: bump cli.SCHEMA first.
+that is already blessed would change: bump cli.SCHEMA first. Blessing a new
+tag prints its key paths added ("+") and removed ("-") against the newest
+blessed tag, the last in keys.json.
 """
 
 import json
@@ -49,11 +51,17 @@ def main() -> int:
         results = run_corpus(Path(tmp))
     keys_path = GOLDEN / "keys.json"
     blessed = json.loads(keys_path.read_text(encoding="utf-8")) if keys_path.exists() else {}
-    changes = contract_changes(blessed.get(SCHEMA, {}), contract(results))
-    if SCHEMA in blessed and changes:
-        print("key paths changed under schema tag %s; bump cli.SCHEMA:\n  %s"
-              % (SCHEMA, "\n  ".join(changes)))
-        return 1
+    keys = contract(results)
+    if SCHEMA in blessed:
+        changes = contract_changes(blessed[SCHEMA], keys)
+        if changes:
+            print("key paths changed under schema tag %s; bump cli.SCHEMA:\n  %s"
+                  % (SCHEMA, "\n  ".join(changes)))
+            return 1
+    elif blessed:
+        newest = list(blessed)[-1]
+        print("key paths of %s against %s:\n  %s"
+              % (SCHEMA, newest, "\n  ".join(contract_changes(blessed[newest], keys))))
     GOLDEN.mkdir(exist_ok=True)
     for path in GOLDEN.glob("*.json"):
         if path.stem not in results and path.stem not in ("keys", "machine"):
@@ -68,7 +76,7 @@ def main() -> int:
         else:
             print("new %s" % path.name)
         _write(path, result)
-    _write(keys_path, {**blessed, SCHEMA: contract(results)})
+    _write(keys_path, {**blessed, SCHEMA: keys})
     _write(GOLDEN / "machine.json", machine())
     return 0
 

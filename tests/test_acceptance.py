@@ -41,7 +41,7 @@ def big_ring():
     g, p = gen_ring_of_cliques(3, 800, 1, seed=7)
     emb, eig = exact_embedding(g, 3)
     gbar = characteristic_vectors(g, p)
-    cm = coeff_matrices(eig, gbar, 3)
+    cm = coeff_matrices(eig, gbar)
     gap = gap_report(g, p, eig)
     sep = separation_ratio(emb, 3, seed=0)
     return {"g": g, "p": p, "emb": emb, "eig": eig, "gbar": gbar, "cm": cm,
@@ -85,7 +85,7 @@ def test_02_eigenvector_indicator_closeness():
         gap = gap_report(g, p, eig)
         psi = gap.psi
         assert psi > 4 * k ** 1.5, "gap hypothesis not met at size %d" % size
-        cm = coeff_matrices(eig, gbar, k)
+        cm = coeff_matrices(eig, gbar)
         mix = gbar @ cm.inverse_coeffs
         rhs = (1 + 3 * k / psi) * k / psi
         for i in range(k):

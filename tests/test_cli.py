@@ -178,7 +178,7 @@ class TestCluster:
                      "--mode", "exact", "--seed", "1", "--out", str(out)])
         assert code == 0
         rep = load_report(out)
-        assert rep["schema"] == "spectral-part/6"
+        assert rep["schema"] == "spectral-part/7"
         assert rep["graph"] == {"n": 60, "m": 573}
         assert rep["planted_match"]["relative_sym_diff_volume"] == [0.0, 0.0, 0.0]
 
@@ -338,6 +338,14 @@ class TestCluster:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["kind"] == "capacity" and "750591849 steps" in err["message"]
 
+    def test_sbm_repair_that_never_ends_is_numeric_error(self, capsys):
+        """p_in = 1e-12 with p_out = 0 leaves the isolated vertices of a
+        5 + 5 SBM unrepaired; the repair loop gives up after 10,000 rounds."""
+        code = main(["cluster", "--gen", "sbm:sizes=5+5,pin=1e-12,pout=0", "--k", "2"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"kind": "numeric", "message": "isolated-vertex repair did not terminate"}
+
     def test_no_spectral_gap_power_mode(self, tmp_path, capsys):
         # complete graph: lambda_k == lambda_{k+1}, power mode must refuse
         edge_file = tmp_path / "k8.txt"
@@ -481,7 +489,8 @@ class TestVerify:
         assert main(["verify", "--input", str(edge_file), "--k", "5",
                      "--out", str(out)]) == 0
         rep = load_report(out)
-        assert rep["interconnection"] == {"degenerate": True, "rho": 1.0, "rho_hat": 1.0}
+        assert rep["interconnection"] == {"degenerate": True}
+        assert rep["constants"]["rho"] == rep["constants"]["rho_hat"] == 1.0
         assert rep["constants"]["rho_avr"] == 0.6
 
     def test_interconnection_work_cap_is_capacity_error(self, tmp_path, capsys,
@@ -537,8 +546,7 @@ class TestVerify:
                      "--out", str(out)]) == 0
         rep = load_report(out)
         assert rep["constants"]["rho"] == rep["constants"]["rho_hat"] == 0.25
-        assert rep["interconnection"] == {"degenerate": True, "rho": 0.25,
-                                          "rho_hat": 0.25}
+        assert rep["interconnection"] == {"degenerate": True}
 
     def test_thirteen_vertex_hub_interconnection(self, tmp_path, capsys):
         edge_file = tmp_path / "hub13.txt"
@@ -547,9 +555,10 @@ class TestVerify:
         out = tmp_path / "rep.json"
         assert main(["verify", "--input", str(edge_file), "--k", "4",
                      "--out", str(out)]) == 0
-        inter = load_report(out)["interconnection"]
+        rep = load_report(out)
+        inter = rep["interconnection"]
         assert inter["degenerate"] is False
-        assert (inter["rho"], inter["rho_hat"]) == (1 / 7, 3 / 11)
+        assert (rep["constants"]["rho"], rep["constants"]["rho_hat"]) == (1 / 7, 3 / 11)
         assert (inter["rho_p"], inter["kappa"]) == (2 / 3, 3.0)
         assert inter["witness_partition"] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0]
 
@@ -718,6 +727,8 @@ def test_unwritable_out_fails_before_the_spectrum(tmp_path, capsys, monkeypatch,
                                           reason="needs /dev/full")),
     (["diagnose", "--input", "{tmp}/g.txt", "--k", "3"],
      "diagnose needs a reference partition (--gen or --partition)"),
+    pytest.param(["cluster", "--gen", "sbm:sizes=1+5,pin=0.5,pout=0", "--k", "2"],
+                 "cannot repair isolated vertex 0 with p_out = 0", id="sbm-unrepairable"),
     *(pytest.param([command, "--input", "{tmp}/g.txt", "--k", "2", "--restarts", "0"],
                    "--restarts must be at least 1", id=command + "-restarts")
       for command in ("cluster", "verify")),

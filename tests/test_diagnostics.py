@@ -88,14 +88,14 @@ class TestCoeffMatrices:
     def test_inverse_identity(self, two_triangles_bridge):
         g, p = two_triangles_bridge
         _, eig = exact_embedding(g, 2)
-        cm = coeff_matrices(eig, characteristic_vectors(g, p), 2)
+        cm = coeff_matrices(eig, characteristic_vectors(g, p))
         assert np.abs(cm.inverse_coeffs @ cm.indicator_coeffs - np.eye(2)).max() < 1e-6
         assert np.abs(cm.indicator_coeffs @ cm.inverse_coeffs - np.eye(2)).max() < 1e-6
 
     def test_disjoint_cliques_orthogonal(self):
         g, p = disjoint_cliques(3, 4)
         _, eig = exact_embedding(g, 3)
-        cm = coeff_matrices(eig, characteristic_vectors(g, p), 3)
+        cm = coeff_matrices(eig, characteristic_vectors(g, p))
         # indicator span equals the kernel eigenspace, so the coefficient
         # matrix is orthogonal and its inverse is its transpose
         assert np.abs(cm.indicator_coeffs.T @ cm.indicator_coeffs - np.eye(3)).max() < 1e-9
@@ -105,7 +105,7 @@ class TestCoeffMatrices:
         g, p = gen_ring_of_cliques(3, 20, 1, seed=0)
         emb, eig = exact_embedding(g, 3)
         gbar = characteristic_vectors(g, p)
-        cm = coeff_matrices(eig, gbar, 3)
+        cm = coeff_matrices(eig, gbar)
         proj = eig.vectors[:, :3] @ cm.indicator_coeffs
         lam4 = float(eig.values[3])
         for i in range(3):
@@ -121,14 +121,14 @@ class TestCoeffMatrices:
         gbar[:, 0] = [1.0, 0.0, 0.0, 0.0]
         gbar[:, 1] = [0.0, 0.0, 0.0, 1.0]  # projects to ~0 in the first 2 coords
         with pytest.raises(SpanCollapseError):
-            coeff_matrices(eig, gbar, 2)
+            coeff_matrices(eig, gbar)
 
 
 class TestEstimationCenters:
     def test_disjoint_cliques_norm(self):
         g, p = disjoint_cliques(3, 4)
         _, eig = exact_embedding(g, 3)
-        cm = coeff_matrices(eig, characteristic_vectors(g, p), 3)
+        cm = coeff_matrices(eig, characteristic_vectors(g, p))
         vols = [volume(g, p.labels == i) for i in range(3)]
         centers = estimation_centers(cm, vols)
         for i in range(3):
@@ -137,7 +137,7 @@ class TestEstimationCenters:
     def test_disjoint_cliques_pairwise_distance(self):
         g, p = disjoint_cliques(3, 5)
         _, eig = exact_embedding(g, 3)
-        cm = coeff_matrices(eig, characteristic_vectors(g, p), 3)
+        cm = coeff_matrices(eig, characteristic_vectors(g, p))
         vols = [volume(g, p.labels == i) for i in range(3)]
         centers = estimation_centers(cm, vols)
         for i in range(3):
@@ -150,7 +150,7 @@ class TestEstimationCenters:
         # pairwise separation floor holds with margin
         g, p = gen_ring_of_cliques(3, 50, 1, seed=2)
         _, eig = exact_embedding(g, 3)
-        cm = coeff_matrices(eig, characteristic_vectors(g, p), 3)
+        cm = coeff_matrices(eig, characteristic_vectors(g, p))
         vols = [volume(g, p.labels == i) for i in range(3)]
         centers = estimation_centers(cm, vols)
         for i in range(3):
@@ -554,6 +554,23 @@ class TestRunTheoremChecks:
             rec = by_name["indicator_vs_projection[%d]" % i]
             assert rec.hypothesis_met and rec.passed
 
+    @pytest.mark.parametrize("size, not_applicable", [(300, {"merge_cost_floor"}),
+                                                      (1700, set())])
+    def test_gated_families_bind_on_two_cliques(self, size, not_applicable):
+        """Two cliques of ``size`` joined by one edge: psi is 8.97e4 at 300
+        and 2.89e6 at 1700, so the row-Gram, merge-floor and surrogate
+        families apply (the floor only at 1700, where delta is not clamped).
+        Every applicable rhs is at least 100 CHECK_TOL, so the absolute
+        slack cannot carry a pass."""
+        g, p = gen_ring_of_cliques(2, size, 1, 1)
+        _, records = _checks(g, p, 0)
+        applicable = [r for r in records if r.hypothesis_met]
+        families = {r.name.split("[")[0] for r in records}
+        assert len(families) == 8
+        assert families - {r.name.split("[")[0] for r in applicable} == not_applicable
+        assert all(r.passed for r in applicable)
+        assert min(r.rhs for r in applicable) >= 100 * diagnostics.CHECK_TOL
+
     def test_deterministic(self):
         g, p = gen_ring_of_cliques(3, 12, 1, seed=5)
         assert _checks(g, p, 9) == _checks(g, p, 9)
@@ -586,10 +603,8 @@ class TestRunTheoremChecks:
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: characteristic_vectors(path_graph(5), Partition(2, [0, 0, 1, 1])),
                  "partition does not cover this graph", id="indicators-n"),
-    pytest.param(lambda: coeff_matrices(sym_eig(np.eye(3)), np.zeros((3, 2)), 3),
-                 "need k <= n and k indicator columns", id="coeffs-columns"),
-    pytest.param(lambda: coeff_matrices(sym_eig(np.eye(3)), np.zeros((3, 4)), 4),
-                 "need k <= n and k indicator columns", id="coeffs-k-above-n"),
+    pytest.param(lambda: coeff_matrices(sym_eig(np.eye(3)), np.zeros((3, 4))),
+                 "need at most n indicator columns (got 4, n=3)", id="coeffs-k-above-n"),
     pytest.param(lambda: bruteforce_partition_constants(path_graph(5), 0),
                  "k must be in [1, n]", id="constants-k"),
     pytest.param(lambda: bruteforce_partition_constants(path_graph(5), 6),

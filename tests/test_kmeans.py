@@ -335,7 +335,7 @@ class TestSeparationRatio:
     def test_degenerate_single_location(self):
         p = pts_1d([3.0] * 5)
         est = separation_ratio(p, 2, seed=0)
-        assert est.degenerate and est.ratio == 0.0
+        assert est.delta_km1 == 0.0 and est.ratio == 0.0
 
     def test_two_tight_clumps(self):
         rng = np.random.default_rng(9)

@@ -1,7 +1,7 @@
 from pathlib import Path
 
 #: The ROADMAP's standing rule for the size of src/spectralpart.
-LINE_BUDGET = 2389
+LINE_BUDGET = 2384
 
 
 def test_source_within_line_budget():
